@@ -11,7 +11,6 @@
 #include "features/kernels.hpp"
 #include "features/registry.hpp"
 #include "features/series_profile.hpp"
-#include "util/aligned.hpp"
 #include "util/metrics.hpp"
 
 #include <benchmark/benchmark.h>
@@ -19,7 +18,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <numbers>
 #include <string>
 
 namespace {
@@ -115,11 +113,11 @@ void BM_IncrementalHop(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     at += hop;
   }
-  state.counters["sdft"] = extractor.uses_sliding_dft() ? 1.0 : 0.0;
   state.counters["hops_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_IncrementalHop)
+    ->Args({64, 16})
     ->Args({256, 16})
     ->Args({1024, 16})
     ->Args({1024, 64})
@@ -142,6 +140,7 @@ void BM_FullRecomputeHop(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FullRecomputeHop)
+    ->Args({64, 16})
     ->Args({256, 16})
     ->Args({1024, 16})
     ->Args({1024, 64})
@@ -182,41 +181,6 @@ BENCHMARK(BM_ApEnSweep)
     ->Args({1024, 0})
     ->Args({1024, 1})
     ->ArgNames({"n", "scalar"})
-    ->Unit(benchmark::kMicrosecond);
-
-/// Sliding-DFT apply: H deltas into W/2 + 1 bins, the per-emission spectral
-/// cost on the SDFT path.  Grounds the spectral_cost_model constants.
-void BM_SdftApply(benchmark::State& state) {
-  const auto W = static_cast<std::size_t>(state.range(0));
-  const auto hop = static_cast<std::size_t>(state.range(1));
-  kernels::force_scalar(state.range(2) != 0);
-  const std::size_t bins = W / 2 + 1;
-  util::AlignedVec<double> tw_re(W), tw_im(W);
-  for (std::size_t j = 0; j < W; ++j) {
-    const double angle = -2.0 * std::numbers::pi * static_cast<double>(j) /
-                         static_cast<double>(W);
-    tw_re[j] = std::cos(angle);
-    tw_im[j] = std::sin(angle);
-  }
-  util::AlignedVec<double> bin_re(bins, 0.0), bin_im(bins, 0.0);
-  const auto deltas = make_series(hop, 31);
-  std::size_t u0 = 0;
-  for (auto _ : state) {
-    features::kernels::sdft_apply(bin_re.data(), bin_im.data(), bins,
-                                  tw_re.data(), tw_im.data(),
-                                  static_cast<std::uint32_t>(W), u0, deltas);
-    benchmark::DoNotOptimize(bin_re.data());
-    benchmark::DoNotOptimize(bin_im.data());
-    u0 = (u0 + hop) % W;
-  }
-  kernels::force_scalar(false);
-}
-BENCHMARK(BM_SdftApply)
-    ->Args({1024, 16, 0})
-    ->Args({1024, 16, 1})
-    ->Args({64, 16, 0})
-    ->Args({64, 16, 1})
-    ->ArgNames({"W", "H", "scalar"})
     ->Unit(benchmark::kMicrosecond);
 
 /// The per-emission linear-aggregate family on one window: sum/energy,
@@ -271,29 +235,6 @@ BENCHMARK(BM_ReductionKernels)
     ->Args({1024, 1})
     ->ArgNames({"n", "scalar"})
     ->Unit(benchmark::kMicrosecond);
-
-/// Sanity gauge for the SDFT-vs-FFT cost model: the modelled ratio must
-/// agree in *direction* with the measured per-emission costs, else the
-/// model silently picks the slower spectral path (checked in
-/// incremental_profile_test's golden-model suite; this reports the
-/// measured inputs for re-tuning).
-void BM_SpectralCostModel(benchmark::State& state) {
-  const auto W = static_cast<std::size_t>(state.range(0));
-  const auto hop = static_cast<std::size_t>(state.range(1));
-  const auto model = features::spectral_cost_model(W, hop);
-  for (auto _ : state) {
-    auto m = features::spectral_cost_model(W, hop);
-    benchmark::DoNotOptimize(&m);
-  }
-  state.counters["model_sdft"] = model.sdft_cost;
-  state.counters["model_fft"] = model.fft_cost;
-  state.counters["picks_sdft"] = model.use_sdft ? 1.0 : 0.0;
-}
-BENCHMARK(BM_SpectralCostModel)
-    ->Args({1024, 16})
-    ->Args({64, 16})
-    ->Args({64, 48})
-    ->ArgNames({"W", "H"});
 
 /// Per-group cost over an already-built profile: how the registry's time
 /// splits across extractor families.

@@ -188,7 +188,12 @@ void BM_PowerSpectrum(benchmark::State& state) {
     benchmark::DoNotOptimize(features::power_spectrum(xs));
   }
 }
-BENCHMARK(BM_PowerSpectrum)->Arg(256)->Arg(2048)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PowerSpectrum)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ApproximateEntropy(benchmark::State& state) {
   const auto xs = random_series(static_cast<std::size_t>(state.range(0)), 4);

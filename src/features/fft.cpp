@@ -4,46 +4,67 @@
 #include "tensor/stats.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numbers>
-#include <stdexcept>
 
 namespace prodigy::features {
 
-void fft_radix2(std::span<std::complex<double>> data) {
-  const std::size_t n = data.size();
-  if (n == 0) return;
-  if ((n & (n - 1)) != 0) {
-    throw std::invalid_argument("fft_radix2: size must be a power of two");
-  }
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
+namespace {
+
+/// Tables for a real transform of length n = 2^b >= 2 (an m = n/2-point
+/// complex FFT plus a split step): the m-point bit-reversal permutation and
+/// w^j = e^{-2 pi i j / n}, j < m, each from its own exact angle.
+struct FftPlan {
+  std::vector<std::size_t> bitrev;
+  std::vector<std::complex<double>> twiddle;
+};
+
+FftPlan make_plan(std::size_t n) {
+  const std::size_t m = n / 2;
+  FftPlan plan{std::vector<std::size_t>(m, 0),
+               std::vector<std::complex<double>>(m)};
+  for (std::size_t i = 1, j = 0; i < m; ++i) {
+    std::size_t bit = m >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
+    plan.bitrev[i] = j ^= bit;
   }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
-    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const auto u = data[i + k];
-        const auto v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
+  for (std::size_t j = 0; j < m; ++j) {
+    const double angle = -2.0 * std::numbers::pi * static_cast<double>(j) /
+                         static_cast<double>(n);
+    plan.twiddle[j] = {std::cos(angle), std::sin(angle)};
   }
+  return plan;
 }
+
+/// The plan for n = 2^log2n, built on first use.  A published plan is never
+/// modified or freed, so a lookup is one acquire load; racing first callers
+/// each build one and the losers of the publishing CAS discard theirs.
+const FftPlan& plan_for(std::size_t log2n) {
+  static std::array<std::atomic<const FftPlan*>, 64> plans{};
+  auto& slot = plans[log2n];
+  const FftPlan* plan = slot.load(std::memory_order_acquire);
+  if (plan != nullptr) return *plan;
+  auto fresh =
+      std::make_unique<const FftPlan>(make_plan(std::size_t{1} << log2n));
+  if (slot.compare_exchange_strong(plan, fresh.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    plan = fresh.release();
+  }
+  return *plan;
+}
+
+}  // namespace
 
 void power_spectrum(std::span<const double> xs,
                     util::AlignedVec<std::complex<double>>& fft_buffer,
                     util::AlignedVec<double>& power) {
-  if (xs.empty()) {
-    power.assign(1, 0.0);
+  const double mean = tensor::mean(xs);  // 0 for an empty series
+  if (xs.size() < 2) {
+    power.assign(1, xs.empty() ? 0.0 : (xs[0] - mean) * (xs[0] - mean));
     return;
   }
   // Zero-padding audit (odd/non-power-of-two lengths): padding to 2^m does
@@ -56,17 +77,56 @@ void power_spectrum(std::span<const double> xs,
   // leakage of the implicit rectangular window onto a finer grid), which
   // is the standard, documented trade-off — NOT a frequency-axis bug.
   // tests/fft_test.cpp pins both properties on odd-length inputs.
-  std::size_t padded = 1;
-  while (padded < xs.size()) padded <<= 1;
+  std::size_t log2n = 1;
+  while ((std::size_t{1} << log2n) < xs.size()) ++log2n;
+  const std::size_t m = (std::size_t{1} << log2n) / 2;
+  const FftPlan& plan = plan_for(log2n);
+  const std::complex<double>* w = plan.twiddle.data();
 
-  const double mean = tensor::mean(xs);
-  fft_buffer.assign(padded, {0.0, 0.0});
-  for (std::size_t i = 0; i < xs.size(); ++i) fft_buffer[i] = {xs[i] - mean, 0.0};
-  fft_radix2(fft_buffer);
+  // z_j = x_{2j} + i x_{2j+1} (mean-removed, zero-padded), bit-reversed.
+  fft_buffer.resize(m);
+  std::complex<double>* z = fft_buffer.data();
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t i = 2 * j;
+    z[plan.bitrev[j]] = {i < xs.size() ? xs[i] - mean : 0.0,
+                         i + 1 < xs.size() ? xs[i + 1] - mean : 0.0};
+  }
 
-  power.resize(padded / 2 + 1);
-  for (std::size_t k = 0; k < power.size(); ++k) {
-    power[k] = std::norm(fft_buffer[k]);
+  // Radix-2 decimation-in-time butterflies; stage h uses w^{k m / h}.
+  for (std::size_t h = 1; h < m; h <<= 1) {
+    const std::size_t stride = m / h;
+    for (std::size_t base = 0; base < m; base += 2 * h) {
+      for (std::size_t k = 0; k < h; ++k) {
+        const std::complex<double> a = z[base + k];
+        const std::complex<double> b = z[base + k + h];
+        const std::complex<double> t = w[k * stride];
+        const double tr = b.real() * t.real() - b.imag() * t.imag();
+        const double ti = b.real() * t.imag() + b.imag() * t.real();
+        z[base + k] = {a.real() + tr, a.imag() + ti};
+        z[base + k + h] = {a.real() - tr, a.imag() - ti};
+      }
+    }
+  }
+
+  // Split step: with E_k = (Z_k + conj Z_{m-k}) / 2 and
+  // O_k = -i (Z_k - conj Z_{m-k}) / 2 (the even/odd-sample transforms),
+  // X_k = E_k + w^k O_k and X_{m-k} = conj(E_k - w^k O_k).
+  power.resize(m + 1);
+  const std::complex<double> z0 = z[0];
+  power[0] = (z0.real() + z0.imag()) * (z0.real() + z0.imag());
+  power[m] = (z0.real() - z0.imag()) * (z0.real() - z0.imag());
+  if (m >= 2) power[m / 2] = std::norm(z[m / 2]);
+  for (std::size_t k = 1; 2 * k < m; ++k) {
+    const std::complex<double> a = z[k];
+    const std::complex<double> b = z[m - k];
+    const double er = 0.5 * (a.real() + b.real());
+    const double ei = 0.5 * (a.imag() - b.imag());
+    const double orr = 0.5 * (a.imag() + b.imag());
+    const double oi = 0.5 * (b.real() - a.real());
+    const double tr = w[k].real() * orr - w[k].imag() * oi;
+    const double ti = w[k].real() * oi + w[k].imag() * orr;
+    power[k] = (er + tr) * (er + tr) + (ei + ti) * (ei + ti);
+    power[m - k] = (er - tr) * (er - tr) + (ei - ti) * (ei - ti);
   }
 }
 

@@ -1,5 +1,5 @@
-// Radix-2 FFT and the spectral summary features built on it (TSFRESH's
-// fft_aggregated / spectral-density family).
+// Real-input FFT power spectrum and the spectral summary features built on
+// it (TSFRESH's fft_aggregated / spectral-density family).
 #pragma once
 
 #include "util/aligned.hpp"
@@ -10,13 +10,9 @@
 
 namespace prodigy::features {
 
-/// In-place iterative radix-2 Cooley–Tukey FFT.  data.size() must be a
-/// power of two (use power_spectrum for arbitrary lengths).  Takes a span so
-/// plain and over-aligned vectors both work as backing storage.
-void fft_radix2(std::span<std::complex<double>> data);
-
 /// One-sided power spectrum of a mean-removed, zero-padded copy of xs.
 /// Returns |X_k|^2 for k = 0 .. N/2 where N is xs.size() padded to 2^m.
+/// Per-size FFT tables are built once and shared lock-free by all threads.
 std::vector<double> power_spectrum(std::span<const double> xs);
 
 /// Scratch-reusing variant: fills `power` with the one-sided spectrum using

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace prodigy::features {
@@ -154,8 +153,8 @@ struct IncrementalNodeExtractor::MetricState {
   // that cross-checks push/retire consistency against the exact
   // per-emission sum.  (All linear aggregates — sum, energy, successive
   // differences — are recomputed exactly per emission; only the sorted
-  // window, the extrema, and the sliding DFT carry state, because those
-  // are the structures whose from-scratch rebuild is super-linear.)
+  // window and the extrema carry state, because those are the
+  // structures whose from-scratch rebuild is super-linear.)
   double k_shift = 0.0;    // K: re-centered at each rebuild
   double sum_shift = 0.0;  // sum of (g - K)
   SortedWindow sorted;
@@ -166,17 +165,6 @@ struct IncrementalNodeExtractor::MetricState {
   bool extrema_valid = false;
   double min_v = 0.0, max_v = 0.0;
   std::uint64_t first_max = 0, last_max = 0, first_min = 0, last_min = 0;
-
-  // Sliding DFT: bin k = sum over the frame of g[u] * w^{ku} (global
-  // phase, w = e^{-2*pi*i/W}), stored planar (separate re/im arrays, both
-  // 64-byte aligned) so the kernel TU's apply loop runs unit-stride vector
-  // loads.  `pending` holds (g[u] - g[u-W]) deltas not yet applied;
-  // `synced` is the frame end the bins represent.
-  util::AlignedVec<double> bin_re;
-  util::AlignedVec<double> bin_im;
-  util::AlignedVec<double> pending;
-  std::uint64_t synced = 0;
-  bool sdft_resync = true;
 
   // Rolling integer window statistics.  Bit b of peak_flags[t % W] records
   // whether position t is a strict local maximum within kPeakSupports[b]
@@ -203,10 +191,6 @@ struct IncrementalNodeExtractor::Impl {
   std::size_t cols = 0;
   IncrementalConfig config;
   std::vector<std::uint8_t> is_counter;
-  bool use_sdft = false;
-  // Exact twiddle table w^j, j in [0, W), planar for the kernel TU.
-  util::AlignedVec<double> tw_re;
-  util::AlignedVec<double> tw_im;
   std::vector<MetricState> states;
   std::uint64_t pushed = 0;
   std::uint64_t windows = 0;
@@ -227,10 +211,6 @@ struct IncrementalNodeExtractor::Impl {
   void rebuild_state(MetricState& st, std::uint64_t end) const;
   void extract_metric(MetricState& st, std::size_t m, std::span<double> out,
                       FeatureScratch& scratch, std::uint64_t end);
-  void compute_spectral(MetricState& st, SeriesProfile& p,
-                        std::span<const double> f, double f0, double g_s,
-                        std::uint64_t start, std::uint64_t end, bool counter,
-                        FeatureScratch& scratch);
   IncrementalStats sum_stats() const;
 };
 
@@ -274,10 +254,9 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
                                                    std::size_t m, double value,
                                                    std::uint64_t q) {
   const std::size_t W = config.window;
-  double g_old = 0.0;
   if (q >= W) {
     // Retire row q - W: read everything before this push overwrites slots.
-    g_old = st.pre[static_cast<std::size_t>((q - W) % (W + 1))];
+    const double g_old = st.pre[static_cast<std::size_t>((q - W) % (W + 1))];
     st.sum_shift -= g_old - st.k_shift;
     if (!st.sorted.erase(g_old)) st.needs_rebuild = true;
     if (const int d = benford_first_digit(g_old); d != 0) {
@@ -334,16 +313,6 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
     }
   }
 
-  if (use_sdft && !st.sdft_resync) {
-    if (st.pending.size() >= W) {
-      // Caller fell more than a full window behind; resync from the ring.
-      st.sdft_resync = true;
-      st.pending.clear();
-    } else {
-      st.pending.push_back(g - g_old);
-    }
-  }
-
   if (!is_counter[m]) {
     if (!st.extrema_valid) {
       st.extrema_valid = true;
@@ -389,107 +358,7 @@ void IncrementalNodeExtractor::Impl::rebuild_state(MetricState& st,
   st.last_max = start + ex.last_max;
   st.first_min = start + ex.first_min;
   st.last_min = start + ex.last_min;
-
-  st.sdft_resync = true;
-  st.pending.clear();
   st.needs_rebuild = false;
-}
-
-void IncrementalNodeExtractor::Impl::compute_spectral(
-    MetricState& st, SeriesProfile& p, std::span<const double> f, double f0,
-    double g_s, std::uint64_t start, std::uint64_t end, bool counter,
-    FeatureScratch& scratch) {
-  const std::size_t W = config.window;
-  if (!use_sdft) {
-    // The cost model picked the per-emission FFT: identical arithmetic to
-    // the batch path, so the spectral family stays bit-exact.
-    power_spectrum(f, scratch.fft, scratch.power);
-    p.power = scratch.power;
-    p.spectral = spectral_summary_from_power(scratch.power);
-    return;
-  }
-
-  const std::size_t half = W / 2;
-  const std::size_t bins = half + 1;
-  bool fft_path = st.sdft_resync || st.pending.size() != end - st.synced;
-
-  if (!fft_path) {
-    // Apply the pending deltas with the fixed global phase: each sample at
-    // global index u contributes delta * w^{ku}; the exact twiddle table
-    // means the phase itself never drifts, only the bin accumulations.
-    // The kernel keeps the delta loop outer and vectorizes across bins
-    // (each bin still sees its deltas in ascending order), computing the
-    // twiddle index as the low bits of k * u — zero deltas are skipped
-    // inside, so constant stretches still cost nothing.
-    kernels::sdft_apply(st.bin_re.data(), st.bin_im.data(), bins,
-                        tw_re.data(), tw_im.data(),
-                        static_cast<std::uint32_t>(W),
-                        static_cast<std::size_t>(st.synced % W), st.pending);
-    st.pending.clear();
-    st.synced = end;
-
-    // Corrected one-sided spectrum + Parseval drift check against the
-    // exactly-known window energy (variance * W, mean-removed).  The
-    // counter correction and |.|^2 are the componentwise expansion of the
-    // complex ops used before the planar split.
-    scratch.power.resize(bins);
-    const double delta_c = f0 - g_s;  // counter boundary rule, 0 for gauges
-    const std::size_t s_idx = static_cast<std::size_t>(start % W);
-    double e_spec = 0.0;
-    for (std::size_t k = 1; k < bins; ++k) {
-      double br = st.bin_re[k];
-      double bi = st.bin_im[k];
-      if (counter) {
-        const std::size_t idx = (k * s_idx) % W;
-        br += delta_c * tw_re[idx];
-        bi += delta_c * tw_im[idx];
-      }
-      const double pw = br * br + bi * bi;
-      scratch.power[k] = pw;
-      e_spec += (k == half) ? pw : 2.0 * pw;
-    }
-    e_spec /= static_cast<double>(W);
-    const double dc = p.sum - static_cast<double>(W) * p.mean;
-    scratch.power[0] = dc * dc;
-    const double e_time = p.variance * static_cast<double>(W);
-    if (std::abs(e_spec - e_time) > config.drift_tolerance * e_time) {
-      // Covers both accumulated SDFT drift and the degenerate
-      // near-constant window (e_time ~ 0), where the sliding bins hold
-      // only rounding noise and the exact FFT must decide the spectrum.
-      fft_path = true;
-      ++st.drift_recomputes;
-    }
-  }
-
-  if (fft_path) {
-    power_spectrum(f, scratch.fft, scratch.power);  // exact batch spectrum
-    // Resync the sliding bins from the mean-removed transform F (the FFT
-    // left it in scratch.fft; padded == W since W is a power of two here):
-    // for k >= 1 the mean term vanishes (sum of w^{kj} over a full period
-    // is zero), so  A_k = w^{k*start} * (F_k + (g_s - f0)), expanded here
-    // as the planar complex multiply.
-    const std::size_t s_idx = static_cast<std::size_t>(start % W);
-    st.bin_re.resize(bins);
-    st.bin_im.resize(bins);
-    const double back_c = g_s - f0;  // undo the counter boundary rule
-    for (std::size_t k = 1; k < bins; ++k) {
-      const std::size_t idx = (k * s_idx) % W;
-      const double fr = scratch.fft[k].real() + back_c;
-      const double fi = scratch.fft[k].imag();
-      st.bin_re[k] = tw_re[idx] * fr - tw_im[idx] * fi;
-      st.bin_im[k] = tw_re[idx] * fi + tw_im[idx] * fr;
-    }
-    double sum_g = p.sum;
-    if (counter) sum_g += g_s - f0;
-    st.bin_re[0] = sum_g;
-    st.bin_im[0] = 0.0;
-    st.pending.clear();
-    st.synced = end;
-    st.sdft_resync = false;
-  }
-
-  p.power = scratch.power;
-  p.spectral = spectral_summary_from_power(scratch.power);
 }
 
 void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
@@ -691,40 +560,13 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
   rs.benford = benford_correlation_from_counts(digits, counted);
   p.rolling = &rs;
 
-  compute_spectral(st, p, f, f0, g_s, start, end, counter, scratch);
+  power_spectrum(f, scratch.fft, scratch.power);
+  p.power = scratch.power;
+  p.spectral = spectral_summary_from_power(scratch.power);
 
   p.trend = linear_trend(f);
 
   compute_features_from_profile(p, out);
-}
-
-SpectralCostModel spectral_cost_model(std::size_t window,
-                                      std::size_t hop) noexcept {
-  SpectralCostModel m;
-  const double W = static_cast<double>(window);
-  // Per-emission complex-op counts, weighted by measured throughput.  The
-  // SDFT applies `hop` deltas to each of W/2 + 1 bins; the FFT recompute
-  // runs (W/2)*log2(W) butterflies plus the O(W) buffer fill, with a ~1.5x
-  // constant for bit reversal and twiddle recurrences.  kSdftVectorFactor
-  // converts SDFT bin-updates into FFT model units and is calibrated from
-  // bench/feature_extraction on the reference avx512 host:
-  //   * BM_SdftApply: 8.46us for 16 deltas x 513 bins at W=1024 and 0.55us
-  //     for 16 x 33 at W=64 — ~1.04ns per bin-update (the gathered-twiddle
-  //     vector path; gather-bound, so nearly width-independent).
-  //   * power_spectrum: 1.72us at W=64 (352 units), 43.7us at W=1024
-  //     (8704 units) — ~5.0ns per FFT model unit (serial std::complex
-  //     butterflies).
-  //   => factor = 1.04 / 5.0 ~= 0.21.  Crossover at W=64 lands at hop 51
-  //      (0.21 * 51 * 33 > 352), matching the measured per-emission times.
-  // Pick whichever is cheaper for the shape; the FFT side is also bit-exact
-  // with the batch path, so it doubles as the drift/rebuild fallback.
-  constexpr double kSdftVectorFactor = 0.21;
-  m.sdft_cost =
-      kSdftVectorFactor * static_cast<double>(hop) * (W / 2.0 + 1.0);
-  m.fft_cost = 1.5 * (W / 2.0) * std::log2(W) + W;
-  const bool pow2 = window >= 2 && (window & (window - 1)) == 0;
-  m.use_sdft = pow2 && m.sdft_cost < m.fft_cost;
-  return m;
 }
 
 IncrementalStats IncrementalNodeExtractor::Impl::sum_stats() const {
@@ -756,19 +598,6 @@ IncrementalNodeExtractor::IncrementalNodeExtractor(
   for (std::size_t m = 0; m < cols && m < kinds.size(); ++m) {
     im.is_counter[m] =
         (config.diff_counters && kinds[m] == ColumnKind::kCounter) ? 1 : 0;
-  }
-
-  const std::size_t W = config.window;
-  im.use_sdft = spectral_cost_model(W, config.hop).use_sdft;
-  if (im.use_sdft) {
-    im.tw_re.resize(W);
-    im.tw_im.resize(W);
-    for (std::size_t j = 0; j < W; ++j) {
-      const double angle =
-          -2.0 * std::numbers::pi * static_cast<double>(j) / static_cast<double>(W);
-      im.tw_re[j] = std::cos(angle);
-      im.tw_im[j] = std::sin(angle);
-    }
   }
 
   im.states.resize(cols);
@@ -858,10 +687,6 @@ std::size_t IncrementalNodeExtractor::window() const noexcept {
 
 bool IncrementalNodeExtractor::window_complete() const noexcept {
   return impl_->pushed >= impl_->config.window;
-}
-
-bool IncrementalNodeExtractor::uses_sliding_dft() const noexcept {
-  return impl_->use_sdft;
 }
 
 IncrementalStats IncrementalNodeExtractor::stats() const {

@@ -8,12 +8,11 @@
 // IncrementalNodeExtractor keeps per-metric rolling state that absorbs the
 // H new rows and retires the H expired rows per hop:
 //
-//  * rolling abs-energy / abs-change accumulators (add new, subtract
-//    retired) plus a K-shifted rolling sum used as a *drift sentinel*: the
-//    exact window sum is recomputed each emission anyway (it is cheap and
+//  * a K-shifted rolling sum used as a *drift sentinel*: the exact
+//    window sum is recomputed each emission anyway (it is cheap and
 //    makes mean-derived features bit-identical to the batch path), so
 //    comparing it against the rolling sum bounds the accumulated float
-//    drift of the whole accumulator family and triggers an exact rebuild
+//    drift of the carried state and triggers an exact rebuild
 //    when it exceeds tolerance;
 //  * a merge-of-sorted-chunks multiset (SortedWindow) whose O(W)
 //    concatenation at emission reproduces the fully sorted window
@@ -21,28 +20,21 @@
 //    8 order/quantile features;
 //  * expiry-aware extrema: min/max and their first/last locations are
 //    updated per push and re-scanned only when the retiring rows held the
-//    recorded extreme;
-//  * a sliding DFT with fixed global phase (A_k += (x_new - x_old) * w^{kt},
-//    twiddles from one exact table, so the phase itself never drifts) for
-//    the 9 spectral features, with a recomputed-FFT fallback when (a) the
-//    per-emission SDFT update would cost more than the FFT (large hops,
-//    non-power-of-two windows), (b) the Parseval check against the
-//    exactly-known window energy exceeds tolerance, or (c) a scheduled
-//    rebuild is due.
+//    recorded extreme.
+//
+// The 9 spectral features call the batch profile's power_spectrum on every
+// emission, so they carry no state.
 //
 // Counter metrics are handled without reprocessing: the stream keeps global
 // first differences r[t] = x[t] - x[t-1], and the batch path's window-local
 // boundary rule (rates[0] = rates[1]) is applied as O(1) corrections to the
-// sum/energy/abs-change/sorted/spectral state at emission time.
+// sum/sorted/integer state at emission time.
 //
 // Windows containing non-finite samples taint the incremental state and
 // fall back to the exact batch computation (materialize raw rows ->
 // linear_interpolate -> counter_to_rate -> compute_all_features), so
-// NaN-bearing windows score bit-identically to the batch path.  All other
-// windows match the batch oracle bit-exactly except for the documented
-// accumulator-carried features (abs_energy, root_mean_square, the two
-// abs-change aggregates) and the SDFT-carried spectral features, which
-// match within the per-feature tolerances in DESIGN.md (guarded by
+// NaN-bearing windows score bit-identically to the batch path.  Every
+// window matches the batch oracle bit-exactly on all features (guarded by
 // tests/incremental_profile_test.cpp over >= 200 consecutive hops).
 #pragma once
 
@@ -50,7 +42,6 @@
 #include "tensor/matrix.hpp"
 #include "util/aligned.hpp"
 
-#include <complex>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -67,35 +58,18 @@ enum class ColumnKind : std::uint8_t {
 
 struct IncrementalConfig {
   std::size_t window = 64;  // W: rows per emitted window (>= 2)
-  std::size_t hop = 16;     // H: rows between emissions (only advisory for
-                            // the SDFT-vs-FFT cost model; the extractor
-                            // emits whenever the caller asks)
+  std::size_t hop = 16;     // H: rows between emissions (validated >= 1
+                            // but not read; the extractor emits whenever
+                            // the caller asks)
   bool interpolate = true;     // fallback path: fill non-finite gaps
   bool diff_counters = true;   // treat kCounter columns as counters
   /// Emissions between exact rebuilds of the rolling state (bounds float
   /// drift to what can accumulate across this many add/retire cycles).
   std::size_t recompute_interval = 64;
-  /// Relative tolerance for the two drift sentinels (rolling-vs-exact
-  /// window sum, and the SDFT Parseval check); exceeding either triggers
-  /// an immediate exact rebuild.
+  /// Relative tolerance for the drift sentinel (rolling-vs-exact window
+  /// sum); exceeding it triggers an immediate exact rebuild.
   double drift_tolerance = 1e-9;
 };
-
-/// The SDFT-vs-FFT per-emission cost decision for a (window, hop) shape.
-/// Exposed so tests can golden-pin the crossover and the bench can
-/// sanity-check the model against measured throughput.
-struct SpectralCostModel {
-  double sdft_cost = 0.0;  // modelled per-emission SDFT apply cost
-  double fft_cost = 0.0;   // modelled per-emission FFT recompute cost
-  bool use_sdft = false;   // requires a power-of-two window
-};
-
-/// Evaluates the cost model the extractor's constructor uses to pick
-/// between the sliding DFT and the per-emission FFT recompute.  The
-/// constants are tuned to the vectorized kernel throughputs measured in
-/// bench/feature_extraction (see docs/performance.md).
-SpectralCostModel spectral_cost_model(std::size_t window,
-                                      std::size_t hop) noexcept;
 
 /// Counters aggregated across all metrics of one extractor.
 struct IncrementalStats {
@@ -165,9 +139,6 @@ class IncrementalNodeExtractor {
   std::size_t window() const noexcept;
   /// True once a full window has been absorbed since construction/reset.
   bool window_complete() const noexcept;
-  /// True when the (window, hop) shape maintains a sliding DFT; false when
-  /// the cost model picked the per-emission FFT recompute instead.
-  bool uses_sliding_dft() const noexcept;
   IncrementalStats stats() const;
 
  private:

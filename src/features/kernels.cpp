@@ -1,7 +1,7 @@
 // Feature-extraction inner-loop kernels.  See kernels.hpp for the
-// determinism contract; this TU is compiled with -ffp-contract=off plus its
-// own -march (PRODIGY_FEATURE_ARCH) and -fopenmp-simd, so the vector hints
-// below widen without changing any rounding.
+// determinism contract; this TU is compiled with -ffp-contract=off plus
+// -march=PRODIGY_KERNEL_ARCH and -fopenmp-simd, so the vector hints below
+// widen without changing any rounding.
 #include "features/kernels.hpp"
 
 #include <algorithm>
@@ -955,57 +955,6 @@ void apen_match_counts(std::span<const double> series, std::size_t m,
   for (std::size_t b = 0; b < count_lo; ++b) {
     matches_lo[idxs[b]] += lo_by_pos[b];
     if (idxs[b] < count_hi) matches_hi[idxs[b]] += hi_by_pos[b];
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sliding-DFT apply.
-
-void sdft_apply_scalar(double* bin_re, double* bin_im, std::size_t nbins,
-                       const double* tw_re, const double* tw_im,
-                       std::uint32_t w, std::size_t u0,
-                       std::span<const double> deltas) noexcept {
-  // The historical strength-reduced loop: idx = (k * u) % w advanced by u
-  // per bin.  The planar adds are componentwise — exactly what
-  // bins[k] += d * twiddle[idx] did on std::complex storage.
-  for (std::size_t j = 0; j < deltas.size(); ++j) {
-    const double d = deltas[j];
-    if (d == 0.0) continue;
-    const std::size_t u = (u0 + j) % w;
-    std::size_t idx = 0;
-    for (std::size_t k = 0; k < nbins; ++k) {
-      bin_re[k] += d * tw_re[idx];
-      bin_im[k] += d * tw_im[idx];
-      idx += u;
-      if (idx >= w) idx -= w;
-    }
-  }
-}
-
-void sdft_apply(double* bin_re, double* bin_im, std::size_t nbins,
-                const double* tw_re, const double* tw_im, std::uint32_t w,
-                std::size_t u0, std::span<const double> deltas) noexcept {
-  if (g_force_scalar) {
-    sdft_apply_scalar(bin_re, bin_im, nbins, tw_re, tw_im, w, u0, deltas);
-    return;
-  }
-  // w is a power of two (the SDFT gate), so (k * u) mod w is the low bits
-  // of a 32-bit product — computable independently per bin, which lets the
-  // bin loop vectorize with gathered twiddle loads.  Each bin still
-  // accumulates its deltas in ascending-j order: bit-identical to the
-  // scalar oracle.
-  const std::uint32_t mask = w - 1;
-  const std::uint32_t n32 = static_cast<std::uint32_t>(nbins);
-  for (std::size_t j = 0; j < deltas.size(); ++j) {
-    const double d = deltas[j];
-    if (d == 0.0) continue;
-    const std::uint32_t u = static_cast<std::uint32_t>((u0 + j) % w);
-    PRODIGY_SIMD
-    for (std::uint32_t k = 0; k < n32; ++k) {
-      const std::uint32_t idx = (k * u) & mask;
-      bin_re[k] += d * tw_re[idx];
-      bin_im[k] += d * tw_im[idx];
-    }
   }
 }
 

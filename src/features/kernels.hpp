@@ -3,10 +3,9 @@
 // PR 6's incremental engine left a handful of intentionally-exact O(W)
 // passes on the per-emission path: approximate entropy's symmetric pair
 // sweep, the linear aggregates (sum/energy/variance/|dx|), the
-// mean-relative run statistics, the trend/moment/autocorrelation
-// accumulators, and the sliding-DFT apply loop.  This TU vectorizes them
-// with the same per-TU discipline as tensor/kernels.cpp: compiled with its
-// own -march (PRODIGY_FEATURE_ARCH, defaulting to PRODIGY_KERNEL_ARCH),
+// mean-relative run statistics, and the trend/moment/autocorrelation
+// accumulators.  This TU vectorizes them with the same per-TU discipline as
+// tensor/kernels.cpp: compiled with -march=PRODIGY_KERNEL_ARCH,
 // -ffp-contract=off so no FMA contraction can change results between the
 // vector and scalar paths, and a portable scalar fallback under
 // PRODIGY_NO_SIMD.
@@ -28,9 +27,6 @@
 //    historical serial chain by ~1 ulp per partial; the batch and
 //    incremental paths both route through these kernels, which is what
 //    keeps them bit-exact against each other.)
-//  * The sliding-DFT apply vectorizes across bins while preserving each
-//    bin's delta-ascending accumulation order, so it too is bit-identical
-//    to its scalar oracle.
 //
 // The dispatch seam: each public entry point runs the vector path unless
 // force_scalar(true) was called (tests and the before/after bench gauges
@@ -216,24 +212,5 @@ void apen_match_counts_scalar(std::span<const double> series, std::size_t m,
                               double r, std::span<std::uint32_t> matches_lo,
                               std::span<std::uint32_t> matches_hi,
                               ApEnScratch& scratch);
-
-// ---------------------------------------------------------------------------
-// Sliding-DFT apply.
-
-/// Applies the pending deltas to every bin: for delta j (sample at global
-/// ring position u0 + j), bin_re/bin_im[k] += deltas[j] * w^{k * (u0+j)},
-/// with the exact twiddle table w^t split into planar tw_re/tw_im arrays of
-/// length w (a power of two; indices reduce with & (w - 1)).  Zero deltas
-/// are skipped (they add +0.0, indistinguishable downstream).  The delta
-/// loop stays outer and the bin loop vectorizes, so each bin sees its
-/// deltas in ascending-j order — bit-identical to the scalar
-/// strength-reduced loop.
-void sdft_apply(double* bin_re, double* bin_im, std::size_t nbins,
-                const double* tw_re, const double* tw_im, std::uint32_t w,
-                std::size_t u0, std::span<const double> deltas) noexcept;
-void sdft_apply_scalar(double* bin_re, double* bin_im, std::size_t nbins,
-                       const double* tw_re, const double* tw_im,
-                       std::uint32_t w, std::size_t u0,
-                       std::span<const double> deltas) noexcept;
 
 }  // namespace prodigy::features::kernels

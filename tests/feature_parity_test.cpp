@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <numbers>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -455,40 +454,6 @@ TEST(FeatureKernelTest, ApEnMatchCountsMatchScalar) {
         kernels::apen_match_counts_scalar(xs, m, r, lo_s, hi_s, scratch_s);
         EXPECT_EQ(lo, lo_s) << "n=" << n << " m=" << m;
         EXPECT_EQ(hi, hi_s) << "n=" << n << " m=" << m;
-      }
-    }
-  }
-}
-
-TEST(FeatureKernelTest, SdftApplyMatchesScalarBitwise) {
-  constexpr std::uint32_t kW = 64;
-  constexpr std::size_t kBins = kW / 2 + 1;
-  std::vector<double> tw_re(kW), tw_im(kW);
-  for (std::uint32_t t = 0; t < kW; ++t) {
-    const double ang = -2.0 * std::numbers::pi * t / kW;
-    tw_re[t] = std::cos(ang);
-    tw_im[t] = std::sin(ang);
-  }
-  util::Rng rng(99);
-  for (const std::size_t ndeltas : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{16},
-                                    std::size_t{64}, std::size_t{100}}) {
-    for (const std::size_t u0 : {std::size_t{0}, std::size_t{7},
-                                 std::size_t{1000}}) {
-      std::vector<double> deltas(ndeltas);
-      for (std::size_t j = 0; j < ndeltas; ++j) {
-        // Zeros exercise the skip path on both sides.
-        deltas[j] = rng.bernoulli(0.25) ? 0.0 : rng.gaussian(0.0, 2.0);
-      }
-      std::vector<double> re(kBins, 0.5), im(kBins, -0.25);
-      std::vector<double> re_s = re, im_s = im;
-      kernels::sdft_apply(re.data(), im.data(), kBins, tw_re.data(),
-                          tw_im.data(), kW, u0, deltas);
-      kernels::sdft_apply_scalar(re_s.data(), im_s.data(), kBins,
-                                 tw_re.data(), tw_im.data(), kW, u0, deltas);
-      for (std::size_t k = 0; k < kBins; ++k) {
-        EXPECT_EQ(bits(re[k]), bits(re_s[k])) << "bin " << k;
-        EXPECT_EQ(bits(im[k]), bits(im_s[k])) << "bin " << k;
       }
     }
   }

@@ -4,50 +4,167 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <latch>
 #include <numbers>
+#include <thread>
+#include <vector>
 
 namespace prodigy::features {
 namespace {
 
-TEST(FftTest, RejectsNonPowerOfTwo) {
-  std::vector<std::complex<double>> data(3);
-  EXPECT_THROW(fft_radix2(data), std::invalid_argument);
+/// Gaussian series with a DC offset, so the mean removal is exercised.
+std::vector<double> gaussian_series(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> xs(n);
+  for (auto& x : xs) x = rng.gaussian(5.0, 2.0);
+  return xs;
+}
+
+/// One-sided power spectrum by the O(N^2) definition: the mean-removed
+/// series zero-padded to N = 2^m, |sum_j x_j e^{-2 pi i jk / N}|^2 for
+/// k = 0 .. N/2.
+std::vector<double> naive_power_spectrum(const std::vector<double>& xs) {
+  std::size_t padded = 1;
+  while (padded < xs.size()) padded <<= 1;
+  double mean = 0.0;
+  for (const double x : xs) mean += x;
+  mean /= static_cast<double>(xs.size());
+  std::vector<double> power(padded / 2 + 1);
+  for (std::size_t k = 0; k < power.size(); ++k) {
+    double re = 0.0;
+    double im = 0.0;
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+      const double angle = -2.0 * std::numbers::pi *
+                           static_cast<double>((j * k) % padded) /
+                           static_cast<double>(padded);
+      re += (xs[j] - mean) * std::cos(angle);
+      im += (xs[j] - mean) * std::sin(angle);
+    }
+    power[k] = re * re + im * im;
+  }
+  return power;
+}
+
+/// Total power of the full two-sided spectrum from its one-sided half.
+double two_sided_total(const std::vector<double>& power) {
+  const std::size_t half = power.size() - 1;
+  double total = power[0] + power[half];
+  for (std::size_t k = 1; k < half; ++k) total += 2.0 * power[k];
+  return total;
 }
 
 TEST(FftTest, DcSignal) {
-  std::vector<std::complex<double>> data(8, {1.0, 0.0});
-  fft_radix2(data);
-  EXPECT_NEAR(data[0].real(), 8.0, 1e-12);
-  for (std::size_t k = 1; k < 8; ++k) EXPECT_NEAR(std::abs(data[k]), 0.0, 1e-12);
+  // Mean removal leaves no power in any bin for a pure DC signal, and a DC
+  // offset added to a signal moves no bin beyond rounding.
+  for (const std::size_t n : {std::size_t{8}, std::size_t{100}}) {
+    for (const double p : power_spectrum(std::vector<double>(n, 3.0))) {
+      EXPECT_NEAR(p, 0.0, 1e-12);
+    }
+    const auto xs = gaussian_series(n, 4);
+    auto shifted = xs;
+    for (auto& x : shifted) x += 1000.0;
+    const auto power = power_spectrum(xs);
+    const auto power_shifted = power_spectrum(shifted);
+    const double tol = 1e-9 * two_sided_total(power);
+    ASSERT_EQ(power.size(), power_shifted.size());
+    EXPECT_NEAR(power[0], 0.0, tol);
+    for (std::size_t k = 0; k < power.size(); ++k) {
+      EXPECT_NEAR(power_shifted[k], power[k], tol) << "n=" << n << " bin " << k;
+    }
+  }
 }
 
 TEST(FftTest, SingleToneLandsInCorrectBin) {
   constexpr std::size_t n = 64;
-  std::vector<std::complex<double>> data(n);
+  std::vector<double> xs(n);
   for (std::size_t i = 0; i < n; ++i) {
-    data[i] = {std::cos(2.0 * std::numbers::pi * 5.0 * static_cast<double>(i) / n), 0.0};
+    xs[i] = std::cos(2.0 * std::numbers::pi * 5.0 * static_cast<double>(i) / n);
   }
-  fft_radix2(data);
-  // Energy concentrated in bins 5 and n-5.
-  EXPECT_NEAR(std::abs(data[5]), n / 2.0, 1e-9);
-  EXPECT_NEAR(std::abs(data[n - 5]), n / 2.0, 1e-9);
-  EXPECT_NEAR(std::abs(data[3]), 0.0, 1e-9);
+  const auto power = power_spectrum(xs);
+  // |X_5| = n/2; every other bin is empty.
+  for (std::size_t k = 0; k < power.size(); ++k) {
+    EXPECT_NEAR(power[k], k == 5 ? (n / 2.0) * (n / 2.0) : 0.0, 1e-9)
+        << "bin " << k;
+  }
 }
 
 TEST(FftTest, ParsevalHolds) {
-  util::Rng rng(1);
-  constexpr std::size_t n = 128;
-  std::vector<std::complex<double>> data(n);
-  double time_energy = 0.0;
-  for (auto& d : data) {
-    d = {rng.gaussian(), 0.0};
-    time_energy += std::norm(d);
+  // sum_k |X_k|^2 / N == sum_j (x_j - mean)^2, padded or not.
+  for (const std::size_t n : {std::size_t{128}, std::size_t{100}}) {
+    const auto xs = gaussian_series(n, 1);
+    double mean = 0.0;
+    for (const double x : xs) mean += x;
+    mean /= static_cast<double>(n);
+    double time_energy = 0.0;
+    for (const double x : xs) time_energy += (x - mean) * (x - mean);
+    const auto power = power_spectrum(xs);
+    const double padded = 2.0 * static_cast<double>(power.size() - 1);
+    EXPECT_NEAR(two_sided_total(power) / padded, time_energy,
+                1e-12 * time_energy)
+        << "n=" << n;
   }
-  fft_radix2(data);
-  double freq_energy = 0.0;
-  for (const auto& d : data) freq_energy += std::norm(d);
-  EXPECT_NEAR(freq_energy / n, time_energy, 1e-6 * time_energy);
+}
+
+TEST(PowerSpectrumTest, MatchesNaiveDft) {
+  for (const std::size_t n :
+       {1, 2, 3, 4, 5, 8, 31, 64, 97, 100, 256, 1000, 1024, 4096}) {
+    const auto xs = gaussian_series(n, 10 + n);
+    const auto want = naive_power_spectrum(xs);
+    const auto got = power_spectrum(xs);
+    ASSERT_EQ(got.size(), want.size()) << "n=" << n;
+    double total = 0.0;
+    for (const double p : want) total += p;
+    const double tol = 1e-12 * std::max(total, 1.0);
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_NEAR(got[k], want[k], tol) << "n=" << n << " bin " << k;
+    }
+  }
+}
+
+TEST(PowerSpectrumTest, ConcurrentMixedSizesMatchSingleThread) {
+  // Four threads race through first use of each transform size (every
+  // test runs in a fresh process, so no plan exists yet) in different
+  // orders; each spectrum must equal the single-threaded one bit for bit.
+  const std::vector<std::size_t> sizes = {3,   17,   100,  200, 511,
+                                          700, 1000, 2500, 4096};
+  std::vector<std::vector<double>> inputs;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    inputs.push_back(gaussian_series(sizes[i], 50 + i));
+  }
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::vector<double>>> got(
+      kThreads, std::vector<std::vector<double>>(sizes.size()));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      util::AlignedVec<std::complex<double>> buffer;
+      util::AlignedVec<double> power;
+      start.arrive_and_wait();
+      for (std::size_t step = 0; step < 3 * sizes.size(); ++step) {
+        const std::size_t r = (step + 2 * t) % sizes.size();
+        const std::size_t i = t % 2 == 0 ? r : sizes.size() - 1 - r;
+        power_spectrum(inputs[i], buffer, power);
+        got[t][i].assign(power.begin(), power.end());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const auto want = power_spectrum(inputs[i]);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(got[t][i].size(), want.size()) << "thread " << t;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t][i][k]),
+                  std::bit_cast<std::uint64_t>(want[k]))
+            << "n=" << sizes[i] << " thread " << t << " bin " << k;
+      }
+    }
+  }
 }
 
 TEST(PowerSpectrumTest, PadsArbitraryLengths) {

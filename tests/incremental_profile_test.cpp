@@ -1,8 +1,6 @@
 // Incremental-vs-full parity: the rolling IncrementalNodeExtractor must
 // reproduce the batch single-pass engine (series_preprocess cleaning +
-// compute_all_features) over long replays — bit-exactly for every feature
-// except the sliding-DFT-carried spectral family, which matches within the
-// documented per-feature tolerances (see DESIGN.md).
+// compute_all_features) over long replays, bit-exactly for every feature.
 #include "features/incremental_profile.hpp"
 
 #include "features/kernels.hpp"
@@ -18,7 +16,6 @@
 #include <cstdint>
 #include <limits>
 #include <random>
-#include <string>
 #include <vector>
 
 namespace {
@@ -112,77 +109,35 @@ std::vector<ColumnKind> replay_kinds() {
 }
 
 /// Batch oracle for one (window, metric): window-local cleaning exactly as
-/// pipeline::preprocess_node does it, then the single-pass engine.  Also
-/// returns the window's one-sided power spectrum (for the peak-frequency
-/// tie carve-out in expect_window_parity).
-std::vector<double> oracle_features(const tensor::Matrix& data,
-                                    std::size_t start, std::size_t window,
-                                    std::size_t col, bool counter,
-                                    std::span<double> out) {
+/// pipeline::preprocess_node does it, then the single-pass engine.
+void oracle_features(const tensor::Matrix& data, std::size_t start,
+                     std::size_t window, std::size_t col, bool counter,
+                     std::span<double> out) {
   std::vector<double> series(window);
   for (std::size_t r = 0; r < window; ++r) series[r] = data.at(start + r, col);
   features::linear_interpolate(series);
   if (counter) features::counter_to_rate_inplace(series);
   features::FeatureScratch scratch;
   features::compute_all_features(series, out, scratch);
-  return features::power_spectrum(series);
 }
 
-bool is_tolerant_feature(const std::string& name) {
-  // Only the sliding-DFT-carried spectral family is tolerance-carried;
-  // every linear aggregate (sum, energy, successive differences) is
-  // recomputed exactly per emission and must match bit for bit.
-  return name.rfind("spectral_", 0) == 0;
-}
-
-/// Bit-exact for every feature except the SDFT-carried spectral family,
-/// which gets a documented relative tolerance.  `oracle_power` (the batch
-/// one-sided spectrum of this window, empty to skip) backs the
-/// peak-frequency carve-out: argmax over near-tied bins is ill-conditioned
-/// (a single-spike window has an exactly flat spectrum), so a differing
-/// peak location is accepted iff the bin the incremental path picked holds
-/// power within tolerance of the true maximum.
+/// Bit-exact on every feature.
 void expect_window_parity(std::span<const double> got,
                           std::span<const double> want,
-                          std::span<const double> oracle_power,
                           std::size_t window_no, std::size_t col) {
   const auto& defs = features::feature_registry();
   const std::size_t per_metric = features::features_per_metric();
   ASSERT_EQ(got.size(), want.size());
   ASSERT_EQ(got.size() % per_metric, 0u);
   for (std::size_t i = 0; i < got.size(); ++i) {
-    const auto& name = defs[i % per_metric].name;
-    const char* context = "window ";
-    if (is_tolerant_feature(name)) {
-      const bool spectral = name.rfind("spectral_", 0) == 0;
-      const double rel = spectral ? 1e-6 : 1e-9;
-      if (name == "spectral_peak_frequency" && got[i] != want[i] &&
-          oracle_power.size() > 1) {
-        const double bins = static_cast<double>(oracle_power.size() - 1);
-        const auto bin = static_cast<std::size_t>(
-            std::llround(got[i] * bins));
-        ASSERT_LT(bin, oracle_power.size());
-        const double max_power =
-            *std::max_element(oracle_power.begin(), oracle_power.end());
-        EXPECT_GE(oracle_power[bin], max_power * (1.0 - 1e-6))
-            << name << " " << context << window_no << " col " << col
-            << ": picked a bin that is not a near-tied maximum";
-        continue;
-      }
-      EXPECT_NEAR(got[i], want[i],
-                  rel * std::max(std::abs(want[i]), 1.0) + 1e-9)
-          << name << " " << context << window_no << " col " << col;
-    } else {
-      EXPECT_EQ(got[i], want[i])
-          << name << " " << context << window_no << " col " << col;
-    }
+    EXPECT_EQ(got[i], want[i]) << defs[i % per_metric].name << " window "
+                               << window_no << " col " << col;
   }
 }
 
 struct ReplayResult {
   std::size_t windows = 0;
   features::IncrementalStats stats;
-  bool used_sdft = false;
 };
 
 /// Streams `data` through an extractor hop by hop and checks every emitted
@@ -197,7 +152,6 @@ ReplayResult run_parity_replay(const tensor::Matrix& data,
   std::vector<double> want(cols * per_metric);
 
   ReplayResult result;
-  result.used_sdft = extractor.uses_sliding_dft();
   std::size_t fed = 0;
   while (fed < data.rows()) {
     const std::size_t chunk = fed == 0
@@ -211,12 +165,12 @@ ReplayResult run_parity_replay(const tensor::Matrix& data,
     if (!emitted) continue;
     const std::size_t start = fed - config.window;
     for (std::size_t c = 0; c < cols; ++c) {
-      const auto power = oracle_features(
-          data, start, config.window, c, kinds[c] == ColumnKind::kCounter,
-          std::span(want).subspan(c * per_metric, per_metric));
+      oracle_features(data, start, config.window, c,
+                      kinds[c] == ColumnKind::kCounter,
+                      std::span(want).subspan(c * per_metric, per_metric));
       expect_window_parity(
           std::span(got).subspan(c * per_metric, per_metric),
-          std::span(want).subspan(c * per_metric, per_metric), power,
+          std::span(want).subspan(c * per_metric, per_metric),
           result.windows, c);
     }
     ++result.windows;
@@ -227,32 +181,25 @@ ReplayResult run_parity_replay(const tensor::Matrix& data,
 }
 
 TEST(IncrementalParityTest, LongReplayFftPath) {
-  // W=64, H=64 (tumbling windows): 64 * 33 = 2112 bin updates cost
-  // ~444 model units (x0.21) vs ~352 for the recompute, so the cost model
-  // picks the per-emission FFT and spectral is bit-exact too.  The
-  // measured crossover at W=64 sits at hop 51; hop 16 used to live here
-  // but the vectorized apply kernel moved it to the SDFT side.
+  // W=64, H=64: tumbling windows share no rows.
   IncrementalConfig config;
   config.window = 64;
   config.hop = 64;
   const auto data = make_replay(64 + 210 * 64, 101);
   const auto result = run_parity_replay(data, config);
   EXPECT_GE(result.windows, 200u);
-  EXPECT_FALSE(result.used_sdft);
   EXPECT_GT(result.stats.scheduled_recomputes, 0u);  // interval = 64 < 200
   EXPECT_EQ(result.stats.exact_fallbacks, 0u);
 }
 
 TEST(IncrementalParityTest, LongReplaySlidingDftPath) {
-  // W=64, H=4: 4 * 33 = 132 bin updates beat the FFT, so the sliding DFT
-  // carries the spectral family between emissions.
+  // W=64, H=4: consecutive windows share 60 of 64 rows.
   IncrementalConfig config;
   config.window = 64;
   config.hop = 4;
   const auto data = make_replay(64 + 210 * 4, 202);
   const auto result = run_parity_replay(data, config);
   EXPECT_GE(result.windows, 200u);
-  EXPECT_TRUE(result.used_sdft);
 }
 
 /// Streams `data` hop by hop and collects every emitted feature vector,
@@ -283,8 +230,8 @@ std::vector<std::vector<double>> collect_replay_outputs(
 TEST(IncrementalParityTest, ForceScalarReplayBitEqual) {
   // SIMD-vs-scalar over the whole streaming engine: the same replay run
   // with the vector kernels and with their scalar oracles must emit
-  // bit-identical feature vectors at every hop — including the SDFT-carried
-  // spectral family and the NaN-gap exact-fallback windows.
+  // bit-identical feature vectors at every hop — including the spectral
+  // family and the NaN-gap exact-fallback windows.
   auto data = make_replay(64 + 60 * 16, 404);
   for (std::size_t r = 100; r < data.rows(); r += 97) {
     data.at(r, 0) = kNaN;  // gap-straddling windows hit the exact fallback
@@ -306,31 +253,6 @@ TEST(IncrementalParityTest, ForceScalarReplayBitEqual) {
   }
 }
 
-TEST(IncrementalCostModelTest, GoldenCrossovers) {
-  // Pins the retuned spectral cost model (kSdftVectorFactor = 0.21, from
-  // the measured ~1.04ns/bin-update SDFT apply vs ~5.0ns/unit FFT).  If a
-  // retune moves these crossovers, the LongReplay* path tests above must
-  // move with them.
-  const auto m64 = features::spectral_cost_model(64, 16);
-  EXPECT_TRUE(m64.use_sdft);
-  EXPECT_NEAR(m64.sdft_cost, 0.21 * 16 * 33, 1e-9);
-  EXPECT_NEAR(m64.fft_cost, 1.5 * 32 * 6 + 64, 1e-9);
-
-  // Measured crossover at W=64: hop 50 is the last SDFT shape.
-  EXPECT_TRUE(features::spectral_cost_model(64, 50).use_sdft);
-  EXPECT_FALSE(features::spectral_cost_model(64, 51).use_sdft);
-  EXPECT_FALSE(features::spectral_cost_model(64, 64).use_sdft);
-
-  // W=1024 crossover sits at hop 80/81.
-  EXPECT_TRUE(features::spectral_cost_model(1024, 16).use_sdft);
-  EXPECT_TRUE(features::spectral_cost_model(1024, 80).use_sdft);
-  EXPECT_FALSE(features::spectral_cost_model(1024, 81).use_sdft);
-  EXPECT_FALSE(features::spectral_cost_model(1024, 512).use_sdft);
-
-  // Non-power-of-two windows always recompute regardless of hop.
-  EXPECT_FALSE(features::spectral_cost_model(100, 1).use_sdft);
-}
-
 TEST(IncrementalParityTest, NonPowerOfTwoWindow) {
   IncrementalConfig config;
   config.window = 100;
@@ -338,20 +260,17 @@ TEST(IncrementalParityTest, NonPowerOfTwoWindow) {
   const auto data = make_replay(100 + 205 * 10, 303);
   const auto result = run_parity_replay(data, config);
   EXPECT_GE(result.windows, 200u);
-  EXPECT_FALSE(result.used_sdft);  // SDFT needs a power-of-two window
 }
 
 TEST(IncrementalParityTest, LargeWindowSlidingDft) {
-  // The acceptance-criteria shape: W=1024, H=16 (16 * 513 = 8208 updates
-  // vs ~8704 for the FFT recompute -> SDFT).  Shorter replay: each hop
-  // still exercises retire/add across the full ring.
+  // The deep-window shape: W=1024, H=16.  Shorter replay: each hop still
+  // exercises retire/add across the full ring.
   IncrementalConfig config;
   config.window = 1024;
   config.hop = 16;
   const auto data = make_replay(1024 + 80 * 16, 404);
   const auto result = run_parity_replay(data, config);
   EXPECT_GE(result.windows, 80u);
-  EXPECT_TRUE(result.used_sdft);
 }
 
 TEST(IncrementalParityTest, NaNRowsFallBackToExactWindows) {
@@ -415,12 +334,11 @@ TEST(IncrementalParityTest, ResetRefillsBeforeEmitting) {
   fed += 16;
   // The refilled window is the last 64 rows fed since the reset.
   for (std::size_t c = 0; c < data.cols(); ++c) {
-    const auto power = oracle_features(
-        data, fed - 64, 64, c, kinds[c] == ColumnKind::kCounter,
-        std::span(want).subspan(c * per_metric, per_metric));
+    oracle_features(data, fed - 64, 64, c, kinds[c] == ColumnKind::kCounter,
+                    std::span(want).subspan(c * per_metric, per_metric));
     expect_window_parity(std::span(got).subspan(c * per_metric, per_metric),
                          std::span(want).subspan(c * per_metric, per_metric),
-                         power, 0, c);
+                         0, c);
   }
 }
 

@@ -234,11 +234,9 @@ TEST_F(StreamScoringTest, IncrementalScoringMatchesFullRecompute) {
     const auto& got = it->second;
     EXPECT_EQ(got.window_start_ts, expect.window_start_ts);
     EXPECT_EQ(got.window_end_ts, expect.window_end_ts);
-    // Scores agree within the incremental engine's documented feature
-    // tolerance amplified through the scaler + VAE; verdict flags must be
-    // identical (scores sit well away from the threshold in this replay).
-    EXPECT_NEAR(got.score, expect.score,
-                1e-6 * std::max(1.0, std::abs(expect.score)));
+    // The incremental engine is bit-exact on every feature, so scores and
+    // verdicts are identical.
+    EXPECT_EQ(got.score, expect.score);
     EXPECT_EQ(got.anomalous, expect.anomalous)
         << "node " << key.first << " window " << key.second;
   }
