@@ -37,6 +37,25 @@ telemetry::NodeSeries read_node(util::BinaryReader& reader) {
   return node;
 }
 
+// Counter handles resolved once: ingest and append run per flush under the
+// exclusive lock, where a registry lookup (global mutex + map find) would
+// cost more than the append itself.
+struct DsosMetrics {
+  util::Counter* ingests;
+  util::Counter* appends;
+
+  static DsosMetrics& instance() {
+    static DsosMetrics metrics = [] {
+      auto& registry = util::MetricsRegistry::global();
+      DsosMetrics m;
+      m.ingests = &registry.counter("prodigy_dsos_ingests_total");
+      m.appends = &registry.counter("prodigy_dsos_appends_total");
+      return m;
+    }();
+    return metrics;
+  }
+};
+
 }  // namespace
 
 void DsosStore::ingest(const telemetry::JobTelemetry& job) {
@@ -46,7 +65,7 @@ void DsosStore::ingest(const telemetry::JobTelemetry& job) {
   for (const auto& node : job.nodes) {
     nodes_[{node.job_id, node.component_id}] = node;
   }
-  util::MetricsRegistry::global().counter("prodigy_dsos_ingests_total").increment();
+  DsosMetrics::instance().ingests->increment();
 }
 
 void DsosStore::ingest_node(const telemetry::NodeSeries& node) {
@@ -56,37 +75,30 @@ void DsosStore::ingest_node(const telemetry::NodeSeries& node) {
   job_apps_[node.job_id] = node.app;
   job_generation_[node.job_id] = ++generation_;
   nodes_[{node.job_id, node.component_id}] = node;
-  util::MetricsRegistry::global().counter("prodigy_dsos_ingests_total").increment();
+  DsosMetrics::instance().ingests->increment();
 }
 
 void DsosStore::append_node(const telemetry::NodeSeries& delta) {
   std::unique_lock lock(mutex_);
-  job_apps_[delta.job_id] = delta.app;
-  job_generation_[delta.job_id] = ++generation_;
-  const NodeKey key{delta.job_id, delta.component_id};
-  const auto it = nodes_.find(key);
-  if (it == nodes_.end()) {
-    nodes_[key] = delta;
-  } else {
-    telemetry::NodeSeries& existing = it->second;
-    if (existing.values.cols() != delta.values.cols()) {
+  const auto [it, inserted] =
+      nodes_.try_emplace({delta.job_id, delta.component_id}, delta);
+  if (!inserted) {
+    tensor::Matrix& values = it->second.values;
+    if (values.cols() != delta.values.cols()) {
       throw std::invalid_argument(
           "DsosStore::append_node: column mismatch for node " +
           std::to_string(delta.job_id) + "/" + std::to_string(delta.component_id) +
-          " (" + std::to_string(existing.values.cols()) + " vs " +
+          " (" + std::to_string(values.cols()) + " vs " +
           std::to_string(delta.values.cols()) + ")");
     }
-    // Grow the series in place; identity/ground truth of the first insert is
-    // authoritative (a live stream has no labels to contribute).
-    tensor::Matrix grown(existing.values.rows() + delta.values.rows(),
-                         existing.values.cols());
-    std::copy(existing.values.data(),
-              existing.values.data() + existing.values.size(), grown.data());
-    std::copy(delta.values.data(), delta.values.data() + delta.values.size(),
-              grown.data() + existing.values.size());
-    existing.values = std::move(grown);
+    // Grow the series in place: O(rows appended), so the exclusive lock is
+    // held for the new rows only.  Identity/ground truth of the first insert
+    // is authoritative (a live stream has no labels to contribute).
+    values.append_rows(delta.values);
   }
-  util::MetricsRegistry::global().counter("prodigy_dsos_appends_total").increment();
+  job_apps_[delta.job_id] = delta.app;
+  job_generation_[delta.job_id] = ++generation_;
+  DsosMetrics::instance().appends->increment();
 }
 
 std::vector<std::int64_t> DsosStore::job_ids() const {

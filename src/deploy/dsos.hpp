@@ -59,10 +59,12 @@ class DsosStore {
 
   /// Appends the delta's rows to the (job, component) series, creating it
   /// when absent — how a streaming aggregator accumulates telemetry.  The
-  /// delta's column count must match the existing series (throws
-  /// std::invalid_argument otherwise).  When appending to an existing
-  /// series, the original label/anomaly ground truth is kept; the app name
-  /// is reassigned like ingest's.
+  /// series grows in place, so an append costs amortized O(rows appended)
+  /// however long the history.  The delta's column count must match the
+  /// existing series (throws std::invalid_argument otherwise, leaving the
+  /// store unchanged).  When appending to an existing series, the original
+  /// label/anomaly ground truth is kept; the app name is reassigned like
+  /// ingest's.
   void append_node(const telemetry::NodeSeries& delta);
 
   std::vector<std::int64_t> job_ids() const;

@@ -25,8 +25,8 @@ AnalyticsService::AnalyticsService(const DsosStore& store, core::ModelBundle bun
                                    std::size_t cache_capacity)
     : store_(store), bundle_mutex_(std::make_unique<std::mutex>()),
       state_(std::make_shared<const BundleState>(
-          BundleState{std::move(bundle), next_bundle_id()})),
-      preprocess_(preprocess), explain_(explain),
+          BundleState{std::move(bundle), next_bundle_id(), explain})),
+      preprocess_(preprocess),
       cache_(std::make_unique<AnalysisCache>(
           cache_capacity,
           &util::MetricsRegistry::global().counter("prodigy_deploy_cache_hits_total"),
@@ -45,14 +45,13 @@ AnalyticsService::bundle_state() const {
 std::uint64_t AnalyticsService::bundle_id() const { return bundle_state()->id; }
 
 void AnalyticsService::set_bundle(core::ModelBundle next) {
-  auto state = std::make_shared<const BundleState>(
-      BundleState{std::move(next), next_bundle_id()});
-  std::lock_guard lock(*bundle_mutex_);
-  state_ = std::move(state);
   // The explainer context was built in the OLD bundle's model-input space;
   // reusing it against the new model would explain with mismatched
   // dimensions.  Queries fall back to score-only verdicts after a swap.
-  explain_ = false;
+  auto state = std::make_shared<const BundleState>(
+      BundleState{std::move(next), next_bundle_id(), /*explain=*/false});
+  std::lock_guard lock(*bundle_mutex_);
+  state_ = std::move(state);
 }
 
 void AnalyticsService::build_explainer_context(
@@ -71,53 +70,59 @@ void AnalyticsService::build_explainer_context(
 
 JobAnalysis AnalyticsService::analyze_job(std::int64_t job_id) const {
   util::Timer timer;
-  auto& registry = util::MetricsRegistry::global();
-  registry.counter("prodigy_deploy_requests_total").increment();
+  util::MetricsRegistry::global().counter("prodigy_deploy_requests_total").increment();
 
   // Load the served model exactly once for the whole request: scoring,
   // thresholds, explanations, and the cache key below all come from this
   // state even if set_bundle() swaps concurrently (the shared_ptr keeps the
   // old bundle alive until the request finishes).
-  std::shared_ptr<const BundleState> state;
-  bool explain = false;
-  {
-    std::lock_guard lock(*bundle_mutex_);
-    state = state_;
-    explain = explain_;
-  }
-  const core::ModelBundle& bundle = state->bundle;
-  const std::uint64_t bundle_id = state->id;
+  const std::shared_ptr<const BundleState> state = bundle_state();
 
   // Fast path: a finished analysis for this exact (job, generation, bundle)
   // triple.  The generation probe takes only a shared DSOS lock; if a writer
   // re-ingests between the probe and the lookup we merely miss and recompute.
   if (auto cached =
-          cache_->get({job_id, store_.job_generation(job_id), bundle_id})) {
+          cache_->get({job_id, store_.job_generation(job_id), state->id})) {
     JobAnalysis analysis = **cached;
     analysis.from_cache = true;
     analysis.seconds = timer.elapsed_seconds();
     return analysis;
   }
 
-  JobAnalysis analysis;
-  analysis.job_id = job_id;
-
-  double query_s = 0.0, features_s = 0.0, score_s = 0.0, verdicts_s = 0.0;
-  util::ThreadPool& pool = pool_ != nullptr ? *pool_ : util::ThreadPool::global();
-
   // The generation stamp is read under the same lock as the telemetry, so
   // the cached entry below can never pair new data with an old stamp.
+  double query_s = 0.0;
   std::uint64_t generation = 0;
   util::StageTimer query_timer("deploy.request.query", &query_s);
-  const telemetry::JobTelemetry job = store_.query_job(job_id, &generation);
+  telemetry::JobTelemetry job = store_.query_job(job_id, &generation);
   query_timer.stop();
-  analysis.app = job.app;
+
+  JobAnalysis analysis = analyze_telemetry(std::move(job), *state);
   analysis.store_generation = generation;
+  analysis.stages.insert(analysis.stages.begin(), StageLatency{"query", query_s});
+  analysis.seconds = timer.elapsed_seconds();
+  cache_->put({job_id, generation, state->id},
+              std::make_shared<const JobAnalysis>(analysis));
+  return analysis;
+}
+
+JobAnalysis AnalyticsService::analyze_telemetry(telemetry::JobTelemetry job,
+                                                const BundleState& state) const {
+  const core::ModelBundle& bundle = state.bundle;
+  JobAnalysis analysis;
+  analysis.job_id = job.job_id;
+  analysis.app = job.app;
+
+  double features_s = 0.0, score_s = 0.0, verdicts_s = 0.0;
+  util::ThreadPool& pool = pool_ != nullptr ? *pool_ : util::ThreadPool::global();
 
   // DataGenerator/DataPipeline: per-node preprocess + feature extraction,
   // fanned out across the pool (rows written by index -> deterministic).
+  // The job is moved, not copied: the caller's query already copied every
+  // series out of the store.
   util::StageTimer features_timer("deploy.request.features", &features_s);
-  std::vector<telemetry::JobTelemetry> jobs{job};
+  std::vector<telemetry::JobTelemetry> jobs;
+  jobs.push_back(std::move(job));
   const features::FeatureDataset dataset =
       pipeline::DataPipeline::build_from_jobs(jobs, preprocess_, &pool);
   features_timer.stop();
@@ -137,7 +142,7 @@ JobAnalysis AnalyticsService::analyze_job(std::int64_t job_id) const {
   util::StageTimer verdicts_timer("deploy.request.verdicts", &verdicts_s);
   std::optional<comte::ThresholdModelAdapter> adapter;
   std::optional<comte::ComteExplainer> explainer;
-  if (explain && explain_train_.rows() > 0) {
+  if (state.explain && explain_train_.rows() > 0) {
     adapter.emplace(bundle.detector, threshold, probability_scale_);
     explainer.emplace(*adapter, explain_train_, explain_labels_,
                       bundle.metadata.feature_names, explanations_);
@@ -166,31 +171,32 @@ JobAnalysis AnalyticsService::analyze_job(std::int64_t job_id) const {
   verdicts_timer.stop();
 
   // Merge the per-thread measurements now that the workers are done.
+  auto& registry = util::MetricsRegistry::global();
   registry.counter("prodigy_deploy_anomalous_nodes_total")
       .increment(anomalous_nodes.load(std::memory_order_relaxed));
   auto& node_histogram =
       registry.histogram("prodigy_stage_deploy_request_node_verdict_seconds");
   for (const double seconds : node_seconds) node_histogram.observe(seconds);
 
-  analysis.stages = {{"query", query_s},
-                     {"features", features_s},
+  analysis.stages = {{"features", features_s},
                      {"score", score_s},
                      {"verdicts", verdicts_s}};
-  analysis.seconds = timer.elapsed_seconds();
-  cache_->put({job_id, generation, bundle_id},
-              std::make_shared<const JobAnalysis>(analysis));
   return analysis;
 }
 
 NodeVerdict AnalyticsService::analyze_node(std::int64_t job_id,
                                            std::int64_t component_id) const {
-  const JobAnalysis analysis = analyze_job(job_id);
-  for (const auto& node : analysis.nodes) {
-    if (node.component_id == component_id) return node;
-  }
-  throw std::out_of_range("analyze_node: component " +
-                          std::to_string(component_id) + " not in job " +
-                          std::to_string(job_id));
+  util::MetricsRegistry::global().counter("prodigy_deploy_requests_total").increment();
+  const std::shared_ptr<const BundleState> state = bundle_state();
+
+  // Read and score this node alone.  Every stage of the analysis body is
+  // per-row, so the verdict is bit-identical to the node's entry in
+  // analyze_job.  query_node throws std::out_of_range for a component that
+  // is not part of the job.
+  telemetry::JobTelemetry job;
+  job.job_id = job_id;
+  job.nodes.push_back(store_.query_node(job_id, component_id));
+  return std::move(analyze_telemetry(std::move(job), *state).nodes.front());
 }
 
 std::string render_markdown_report(const JobAnalysis& analysis) {

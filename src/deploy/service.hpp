@@ -107,8 +107,10 @@ class AnalyticsService {
   void set_bundle(core::ModelBundle next);
 
   /// Node-level analysis (paper: "job- and node-level analysis"): the
-  /// verdict for one compute node of a job.  Throws std::out_of_range if the
-  /// component is not part of the job.
+  /// verdict for one compute node of a job, bit-identical to that node's
+  /// entry in analyze_job (explanation included).  Only this node is read
+  /// from the store and scored; the result cache is not consulted.  Throws
+  /// std::out_of_range if the component is not part of the job.
   NodeVerdict analyze_node(std::int64_t job_id, std::int64_t component_id) const;
 
   /// The currently served bundle.  The reference stays valid while the
@@ -141,8 +143,17 @@ class AnalyticsService {
   struct BundleState {
     core::ModelBundle bundle;
     std::uint64_t id = 0;
+    // The explainer context lives in the training-time bundle's feature
+    // space, so set_bundle turns explanations off.
+    bool explain = false;
   };
 
+  // The one analysis body behind analyze_job and analyze_node: features,
+  // score and verdicts (stages "features", "score", "verdicts") for every
+  // node of the loaded `job`, in node order.  Every stage is per-row, so a
+  // node's verdict does not depend on which other nodes share the call.
+  JobAnalysis analyze_telemetry(telemetry::JobTelemetry job,
+                                const BundleState& state) const;
   void build_explainer_context(const features::FeatureDataset& train_data);
   std::shared_ptr<const BundleState> bundle_state() const;
 
@@ -152,7 +163,6 @@ class AnalyticsService {
   mutable std::unique_ptr<std::mutex> bundle_mutex_;
   std::shared_ptr<const BundleState> state_;
   pipeline::PreprocessOptions preprocess_;
-  bool explain_;
   util::ThreadPool* pool_ = nullptr;  // nullptr -> util::ThreadPool::global()
   // unique_ptr (not a direct member) so the service stays movable: the cache
   // owns a mutex, and train_from_store returns the service by value.

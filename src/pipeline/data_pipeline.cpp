@@ -111,9 +111,7 @@ features::FeatureDataset DataPipeline::build_dataset(
       const auto features = extract(prepared);
       if (row >= dataset.X.rows()) {
         // approx_samples underestimated; grow by one row.
-        tensor::Matrix grown(dataset.X.rows() + 1, dataset.X.cols());
-        std::copy(dataset.X.data(), dataset.X.data() + dataset.X.size(), grown.data());
-        dataset.X = std::move(grown);
+        dataset.X.append_rows(tensor::Matrix(1, dataset.X.cols()));
       }
       dataset.X.set_row(row, features);
       dataset.labels.push_back(prepared.label);

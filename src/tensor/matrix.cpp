@@ -42,6 +42,20 @@ double Matrix::at(std::size_t r, std::size_t c) const {
   return const_cast<Matrix*>(this)->at(r, c);
 }
 
+void Matrix::append_rows(const Matrix& other) {
+  if (other.cols_ != cols_) {
+    throw std::invalid_argument("Matrix append_rows: shape " + shape_string() +
+                                " vs " + other.shape_string());
+  }
+  // resize + copy_n rather than insert: the source is read after the resize,
+  // so appending a matrix to itself copies its original rows correctly.
+  const std::size_t held = data_.size();
+  const std::size_t added = other.data_.size();
+  data_.resize(held + added);
+  std::copy_n(other.data_.data(), added, data_.data() + held);
+  rows_ += other.rows_;
+}
+
 std::vector<double> Matrix::column(std::size_t c) const {
   if (c >= cols_) throw std::out_of_range("Matrix::column out of range");
   std::vector<double> out(rows_);

@@ -59,6 +59,12 @@ class Matrix {
     data_.resize(rows * cols);
   }
 
+  /// Appends `other`'s rows below this matrix's, growing the row-major
+  /// storage in place with the vector's geometric capacity, so a run of
+  /// appends costs amortized O(rows appended).  Throws
+  /// std::invalid_argument on a column mismatch, leaving this unchanged.
+  void append_rows(const Matrix& other);
+
   /// Returns a copy of column `c`.
   std::vector<double> column(std::size_t c) const;
   void set_column(std::size_t c, std::span<const double> values);

@@ -173,12 +173,8 @@ double euclidean_distance(std::span<const double> a, std::span<const double> b) 
 Matrix vstack(const Matrix& top, const Matrix& bottom) {
   if (top.empty()) return bottom;
   if (bottom.empty()) return top;
-  if (top.cols() != bottom.cols()) {
-    throw std::invalid_argument("vstack: column mismatch");
-  }
-  Matrix out(top.rows() + bottom.rows(), top.cols());
-  std::copy(top.data(), top.data() + top.size(), out.data());
-  std::copy(bottom.data(), bottom.data() + bottom.size(), out.data() + top.size());
+  Matrix out = top;
+  out.append_rows(bottom);
   return out;
 }
 

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <latch>
 #include <thread>
 #include <vector>
@@ -109,6 +110,87 @@ TEST(DsosConcurrencyTest, NoTornReadsUnderConcurrentReingest) {
   EXPECT_GT(reads.load(), 0u);
   // 3 seed ingest_node calls + 2 writers x kVersions job ingests.
   EXPECT_EQ(store.generation(), 3u + 2u * kVersions);
+}
+
+TEST(DsosConcurrencyTest, AppendsNeverTearUnderConcurrentReads) {
+  // The final series every component grows into, one row per append (the
+  // ingestor's flush shape).  Every element is distinct, so a snapshot that
+  // mixed rows or saw a half-written row is not a prefix of it.
+  constexpr std::int64_t kJob = 2;
+  constexpr int kComponents = 2;
+  constexpr std::size_t kRows = 400;
+  constexpr std::size_t kCols = 8;
+  tensor::Matrix final_series(kRows, kCols);
+  for (std::size_t i = 0; i < final_series.size(); ++i) {
+    final_series.data()[i] = static_cast<double>(i) + 0.25;
+  }
+  const auto append_row = [&](DsosStore& store, int component, std::size_t r) {
+    telemetry::NodeSeries delta;
+    delta.job_id = kJob;
+    delta.component_id = component;
+    delta.app = "stress";
+    delta.values = final_series.slice_rows(r, 1);
+    store.append_node(delta);
+  };
+  const auto is_prefix = [&](const tensor::Matrix& snapshot) {
+    return snapshot.cols() == kCols && snapshot.rows() <= kRows &&
+           std::memcmp(snapshot.data(), final_series.data(),
+                       snapshot.size() * sizeof(double)) == 0;
+  };
+
+  DsosStore store;
+  for (int c = 0; c < kComponents; ++c) append_row(store, c, 0);
+
+  // Same start gate as NoTornReadsUnderConcurrentReingest: the writer holds
+  // until every reader is live, and each reader finishes an iteration before
+  // honoring stop.
+  constexpr int kReaders = 3;
+  std::latch readers_live(kReaders);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    readers_live.wait();
+    for (std::size_t r = 1; r < kRows; ++r) {
+      for (int c = 0; c < kComponents; ++c) append_row(store, c, r);
+    }
+  });
+
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int reader = 0; reader < kReaders; ++reader) {
+    readers.emplace_back([&, reader] {
+      readers_live.count_down();
+      std::size_t node_rows = 0;
+      std::vector<std::size_t> job_rows(kComponents, 0);
+      do {
+        const int component = reader % kComponents;
+        const auto node = store.query_node(kJob, component);
+        ASSERT_TRUE(is_prefix(node.values)) << "torn query_node snapshot";
+        ASSERT_GE(node.values.rows(), node_rows) << "query_node rows shrank";
+        node_rows = node.values.rows();
+
+        const auto job = store.query_job(kJob);
+        ASSERT_EQ(job.nodes.size(), static_cast<std::size_t>(kComponents));
+        for (int c = 0; c < kComponents; ++c) {
+          const tensor::Matrix& values = job.nodes[c].values;
+          ASSERT_TRUE(is_prefix(values)) << "torn query_job snapshot";
+          ASSERT_GE(values.rows(), job_rows[c]) << "query_job rows shrank";
+          job_rows[c] = values.rows();
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      } while (!stop.load(std::memory_order_acquire));
+    });
+  }
+
+  writer.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  EXPECT_GT(reads.load(), 0u);
+  for (int c = 0; c < kComponents; ++c) {
+    const auto node = store.query_node(kJob, c);
+    EXPECT_EQ(node.values.rows(), kRows);
+    EXPECT_TRUE(is_prefix(node.values));
+  }
+  EXPECT_EQ(store.generation(), kRows * kComponents);
 }
 
 TEST(DsosConcurrencyTest, GenerationIsMonotonicPerJob) {
@@ -289,9 +371,9 @@ TEST_F(ServiceConcurrencyTest, CacheStaysBoundedAndCountsEvictions) {
 }
 
 // The headline stress test: writers re-ingest jobs while readers run
-// analyze_job and query_node.  Asserts no torn reads (analysis is always a
-// complete, finite verdict set) and that the cache never serves an analysis
-// older than the generation observed before the request.
+// analyze_job, analyze_node and query_node.  Asserts no torn reads (analysis
+// is always a complete, finite verdict set) and that the cache never serves
+// an analysis older than the generation observed before the request.
 TEST_F(ServiceConcurrencyTest, ConcurrentReadersAndWritersStayConsistent) {
   AnalyticsService service = AnalyticsService::train_from_store(
       store_, train_jobs_, fast_options(), /*explain=*/false);
@@ -331,7 +413,10 @@ TEST_F(ServiceConcurrencyTest, ConcurrentReadersAndWritersStayConsistent) {
           // Never stale: the served analysis is at least as new as the
           // generation this reader observed before asking.
           ASSERT_GE(analysis.store_generation, gen_before);
-          (void)store_.query_node(job, analysis.nodes.front().component_id);
+          const std::int64_t component = analysis.nodes.back().component_id;
+          (void)store_.query_node(job, component);
+          // Scored alone from the node's own series.
+          ASSERT_TRUE(std::isfinite(service.analyze_node(job, component).score));
         }
         analyses.fetch_add(1, std::memory_order_relaxed);
       } while (!stop.load(std::memory_order_acquire));

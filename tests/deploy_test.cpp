@@ -1,6 +1,9 @@
 #include "deploy/dsos.hpp"
 #include "deploy/service.hpp"
 #include "telemetry/metrics.hpp"
+#include "util/metrics.hpp"
+
+#include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,8 @@
 
 namespace prodigy::deploy {
 namespace {
+
+using prodigy::testing::bitwise_equal;
 
 telemetry::JobTelemetry make_job(std::int64_t job_id, const std::string& app,
                                  std::size_t nodes, double duration,
@@ -89,22 +94,37 @@ TEST(DsosStoreTest, AppendNodeAccumulatesRows) {
     store.append_node(delta);
   }
 
-  const auto stored = store.query_node(6, node.component_id);
-  ASSERT_EQ(stored.values.rows(), node.values.rows());
-  ASSERT_EQ(stored.values.cols(), node.values.cols());
-  for (std::size_t i = 0; i < node.values.size(); ++i) {
-    const double expected = node.values.data()[i];
-    const double got = stored.values.data()[i];
-    if (std::isnan(expected)) {
-      EXPECT_TRUE(std::isnan(got));
-    } else {
-      EXPECT_DOUBLE_EQ(expected, got);
-    }
-  }
+  EXPECT_TRUE(bitwise_equal(store.query_node(6, node.component_id).values, node.values));
   // Three appends -> three generation bumps, unlike replace semantics the
   // datapoint count grows monotonically.
   EXPECT_EQ(store.generation(), 3u);
   EXPECT_EQ(store.datapoint_count(), node.values.size());
+}
+
+TEST(DsosStoreTest, OneRowAppendsEqualOneShotIngest) {
+  // The ingestor's shape: one row per flush (stream.rows_per_flush = 1).
+  const auto job = make_job(11, "LAMMPS", 1, 300);
+  const auto& node = job.nodes[0];
+  ASSERT_EQ(node.values.rows(), 300u);
+
+  DsosStore appended;
+  for (std::size_t r = 0; r < node.values.rows(); ++r) {
+    telemetry::NodeSeries delta = node;
+    delta.values = node.values.slice_rows(r, 1);
+    appended.append_node(delta);
+  }
+  DsosStore one_shot;
+  one_shot.ingest_node(node);
+
+  const auto stored = appended.query_node(11, node.component_id);
+  EXPECT_TRUE(bitwise_equal(stored.values, one_shot.query_node(11, node.component_id).values));
+  EXPECT_EQ(stored.label, node.label);
+  EXPECT_EQ(stored.anomaly, node.anomaly);
+  EXPECT_EQ(appended.datapoint_count(), one_shot.datapoint_count());
+  // One generation per append, stamped on the job.
+  EXPECT_EQ(appended.generation(), 300u);
+  EXPECT_EQ(appended.job_generation(11), 300u);
+  EXPECT_EQ(appended.query_job(11).nodes.size(), 1u);
 }
 
 TEST(DsosStoreTest, AppendNodeKeepsGroundTruthButReassignsApp) {
@@ -132,7 +152,14 @@ TEST(DsosStoreTest, AppendNodeRejectsColumnMismatch) {
   store.append_node(job.nodes[0]);
   telemetry::NodeSeries bad = job.nodes[0];
   bad.values = tensor::Matrix(4, job.nodes[0].values.cols() + 1);
+  bad.app = "renamed";
+  const auto generation = store.generation();
   EXPECT_THROW(store.append_node(bad), std::invalid_argument);
+  // A rejected append leaves the store as it was.
+  EXPECT_EQ(store.generation(), generation);
+  EXPECT_EQ(store.query_job(10).app, "SWFFT");
+  EXPECT_TRUE(bitwise_equal(store.query_node(10, job.nodes[0].component_id).values,
+                            job.nodes[0].values));
 }
 
 TEST(DsosStoreTest, ReingestReplacesJob) {
@@ -286,15 +313,73 @@ TEST_F(AnalyticsServiceTest, StageBreakdownCoversRequestLatency) {
   EXPECT_NE(report.find("| features |"), std::string::npos);
 }
 
+void expect_identical_verdicts(const NodeVerdict& node, const NodeVerdict& job_entry) {
+  EXPECT_EQ(node.component_id, job_entry.component_id);
+  EXPECT_EQ(node.anomalous, job_entry.anomalous);
+  EXPECT_EQ(node.score, job_entry.score);
+  EXPECT_EQ(node.threshold, job_entry.threshold);
+  ASSERT_EQ(node.explanation.has_value(), job_entry.explanation.has_value());
+  if (!node.explanation) return;
+  const comte::Explanation& a = *node.explanation;
+  const comte::Explanation& b = *job_entry.explanation;
+  EXPECT_EQ(a.success, b.success);
+  EXPECT_EQ(a.distractor_row, b.distractor_row);
+  EXPECT_EQ(a.original_probability, b.original_probability);
+  EXPECT_EQ(a.final_probability, b.final_probability);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  ASSERT_EQ(a.changes.size(), b.changes.size());
+  for (std::size_t c = 0; c < a.changes.size(); ++c) {
+    EXPECT_EQ(a.changes[c].metric, b.changes[c].metric);
+    EXPECT_EQ(a.changes[c].mean_delta, b.changes[c].mean_delta);
+  }
+}
+
+std::uint64_t query_job_calls() {
+  return util::MetricsRegistry::global()
+      .histogram("prodigy_stage_deploy_dsos_query_job_seconds")
+      .snapshot()
+      .count;
+}
+
+// analyze_node's contract: it reads only its node (never query_job) and
+// returns exactly that node's entry of analyze_job.
+JobAnalysis check_node_level_matches_job_level(const AnalyticsService& service,
+                                               const DsosStore& store,
+                                               std::int64_t job_id) {
+  const std::vector<std::int64_t> components = store.components_of(job_id);
+  std::vector<NodeVerdict> node_level;
+  const std::uint64_t queries_before = query_job_calls();
+  for (const std::int64_t component : components) {
+    node_level.push_back(service.analyze_node(job_id, component));
+  }
+  EXPECT_EQ(query_job_calls(), queries_before) << "analyze_node called query_job";
+
+  const JobAnalysis analysis = service.analyze_job(job_id);
+  EXPECT_FALSE(analysis.from_cache);
+  EXPECT_EQ(analysis.nodes.size(), node_level.size());
+  if (analysis.nodes.size() != node_level.size()) return analysis;
+  for (std::size_t i = 0; i < node_level.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    expect_identical_verdicts(node_level[i], analysis.nodes[i]);
+  }
+
+  EXPECT_THROW(service.analyze_node(job_id, 424242), std::out_of_range);
+  return analysis;
+}
+
 TEST_F(AnalyticsServiceTest, NodeLevelAnalysisMatchesJobLevel) {
   const AnalyticsService service = AnalyticsService::train_from_store(
       store_, train_jobs_, fast_options(), /*explain=*/false);
-  const JobAnalysis analysis = service.analyze_job(50);
-  const NodeVerdict node = service.analyze_node(50, analysis.nodes[1].component_id);
-  EXPECT_EQ(node.component_id, analysis.nodes[1].component_id);
-  EXPECT_EQ(node.anomalous, analysis.nodes[1].anomalous);
-  EXPECT_DOUBLE_EQ(node.score, analysis.nodes[1].score);
-  EXPECT_THROW(service.analyze_node(50, 424242), std::out_of_range);
+  check_node_level_matches_job_level(service, store_, 50);
+}
+
+TEST_F(AnalyticsServiceTest, NodeLevelExplanationsMatchJobLevel) {
+  const AnalyticsService service = AnalyticsService::train_from_store(
+      store_, train_jobs_, fast_options(), /*explain=*/true);
+  const JobAnalysis analysis = check_node_level_matches_job_level(service, store_, 50);
+  std::size_t explained = 0;
+  for (const auto& node : analysis.nodes) explained += node.explanation ? 1 : 0;
+  EXPECT_GE(explained, 1u) << "no anomalous node carried an explanation to compare";
 }
 
 TEST_F(AnalyticsServiceTest, MarkdownReportContainsVerdictsAndExplanations) {

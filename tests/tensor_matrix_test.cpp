@@ -1,9 +1,39 @@
 #include "tensor/matrix.hpp"
 
+#include "test_helpers.hpp"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
 
 namespace prodigy::tensor {
 namespace {
+
+using prodigy::testing::bitwise_equal;
+
+/// A rows x cols matrix of random finite values salted with NaNs (two
+/// payloads), infinities, signed zeros and a subnormal.
+Matrix random_telemetry(std::size_t rows, std::size_t cols, std::mt19937_64& rng) {
+  const double specials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(std::uint64_t{0x7ff8dead0000beefULL}),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -0.0,
+      std::numeric_limits<double>::denorm_min()};
+  std::uniform_real_distribution<double> value(-1e6, 1e6);
+  std::uniform_int_distribution<int> pick(0, 9);
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    const int p = pick(rng);
+    m.data()[i] = p < 6 ? specials[p] : value(rng);
+  }
+  return m;
+}
 
 TEST(MatrixTest, DefaultIsEmpty) {
   Matrix m;
@@ -117,6 +147,66 @@ TEST(MatrixTest, ShapeMismatchThrows) {
   const Matrix b(2, 3);
   EXPECT_THROW(a += b, std::invalid_argument);
   EXPECT_THROW(a -= b, std::invalid_argument);
+}
+
+TEST(MatrixTest, AppendRowsRandomChunkingsEqualOneShot) {
+  std::mt19937_64 rng(20231113);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t rows = std::uniform_int_distribution<std::size_t>(0, 300)(rng);
+    const std::size_t cols = std::uniform_int_distribution<std::size_t>(1, 49)(rng);
+    const Matrix whole = random_telemetry(rows, cols, rng);
+
+    // Chunks of 0..8 rows, so 0-row deltas and one-row appends both occur.
+    Matrix grown(0, cols);
+    std::size_t first = 0;
+    while (first < rows) {
+      const std::size_t count = std::min<std::size_t>(
+          rows - first, std::uniform_int_distribution<std::size_t>(0, 8)(rng));
+      grown.append_rows(whole.slice_rows(first, count));
+      first += count;
+      ASSERT_EQ(grown.rows(), first);
+    }
+    grown.append_rows(Matrix(0, cols));
+    EXPECT_TRUE(bitwise_equal(grown, whole)) << "trial " << trial;
+  }
+}
+
+TEST(MatrixTest, AppendRowsColumnMismatchThrowsAndLeavesMatrix) {
+  std::mt19937_64 rng(7);
+  Matrix m = random_telemetry(3, 4, rng);
+  const Matrix before = m;
+  EXPECT_THROW(m.append_rows(Matrix(1, 5)), std::invalid_argument);
+  EXPECT_THROW(m.append_rows(Matrix(0, 3)), std::invalid_argument);
+  EXPECT_THROW(m.append_rows(Matrix()), std::invalid_argument);
+  EXPECT_TRUE(bitwise_equal(m, before));
+}
+
+TEST(MatrixTest, AppendRowsToItselfDoublesRows) {
+  std::mt19937_64 rng(11);
+  const Matrix half = random_telemetry(5, 3, rng);
+  Matrix m = half;
+  m.append_rows(m);
+  Matrix expected = half;
+  expected.append_rows(half);
+  ASSERT_EQ(m.rows(), 10u);
+  EXPECT_TRUE(bitwise_equal(m, expected));
+  EXPECT_TRUE(bitwise_equal(m.slice_rows(5, 5), half));
+}
+
+TEST(MatrixTest, AppendRowsReusesCapacity) {
+  // One-row appends must grow geometrically, not reallocate per append: the
+  // amortized O(rows appended) contract DsosStore::append_node relies on.
+  Matrix m(0, 49);
+  const Matrix row(1, 49, 1.0);
+  std::size_t reallocations = 0;
+  const double* storage = m.data();
+  for (int i = 0; i < 2000; ++i) {
+    m.append_rows(row);
+    if (m.data() != storage) ++reallocations;
+    storage = m.data();
+  }
+  EXPECT_EQ(m.rows(), 2000u);
+  EXPECT_LE(reallocations, 40u);
 }
 
 TEST(MatrixTest, ShapeString) {

@@ -6,9 +6,25 @@
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
 
+#include <gtest/gtest.h>
+
+#include <cstring>
 #include <vector>
 
 namespace prodigy::testing {
+
+/// Same shape and the same bits in every element, NaN payloads included
+/// (EXPECT_EQ on doubles rejects NaN == NaN).
+inline ::testing::AssertionResult bitwise_equal(const tensor::Matrix& a,
+                                                const tensor::Matrix& b) {
+  if (!a.same_shape(b)) {
+    return ::testing::AssertionFailure() << a.shape_string() << " vs " << b.shape_string();
+  }
+  if (a.size() > 0 && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
+    return ::testing::AssertionFailure() << "element bits differ";
+  }
+  return ::testing::AssertionSuccess();
+}
 
 /// Gaussian blob dataset: healthy points around the origin, anomalies offset
 /// by `shift` on every axis.  Returns (X, labels).
