@@ -10,14 +10,18 @@
 #include "features/incremental_profile.hpp"
 #include "features/kernels.hpp"
 #include "features/registry.hpp"
+#include "features/series_preprocess.hpp"
 #include "features/series_profile.hpp"
+#include "tensor/stats.hpp"
 #include "util/metrics.hpp"
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 namespace {
@@ -40,6 +44,48 @@ std::vector<double> make_series(std::size_t n, std::uint64_t seed) {
   std::vector<double> xs(n);
   for (auto& x : xs) x = rng.gaussian(5.0, 2.0);
   return xs;
+}
+
+/// The hop and ApEn benchmarks' input: one long ribbon of three telemetry
+/// series — a gauge random walk, a cumulative counter and a mostly-zero
+/// spiky gauge — read at a moving offset, so every iteration sees a window
+/// it has not seen before.  (A benchmark that replays one short input lets
+/// the branch predictor learn it, and times a hot loop the stream never
+/// runs.)  Iterations rotate through the three kinds.
+struct Ribbon {
+  static constexpr std::size_t kKinds = 3;
+  static constexpr std::size_t kRows = std::size_t{1} << 18;
+  std::array<features::ColumnKind, kKinds> kinds{
+      features::ColumnKind::kGauge, features::ColumnKind::kCounter,
+      features::ColumnKind::kGauge};
+  std::array<tensor::Matrix, kKinds> raw;  // kRows x 1 each
+  /// The cleaned series (the counter as first differences), contiguous.
+  std::array<std::vector<double>, kKinds> clean;
+};
+
+const Ribbon& ribbon() {
+  static const Ribbon r = [] {
+    Ribbon out;
+    util::Rng rng(17);
+    for (auto& m : out.raw) m = tensor::Matrix(Ribbon::kRows, 1);
+    double walk = 10.0;
+    double counter = 1000.0;
+    for (std::size_t i = 0; i < Ribbon::kRows; ++i) {
+      walk += rng.gaussian(0.0, 0.5);
+      counter += 2.0 + std::abs(rng.gaussian());
+      out.raw[0].at(i, 0) = walk;
+      out.raw[1].at(i, 0) = counter;
+      out.raw[2].at(i, 0) =
+          rng.uniform() < 0.05 ? 25.0 + rng.gaussian() : 0.0;
+    }
+    for (std::size_t k = 0; k < Ribbon::kKinds; ++k) {
+      out.clean[k].assign(out.raw[k].data(),
+                          out.raw[k].data() + Ribbon::kRows);
+    }
+    features::counter_to_rate_inplace(out.clean[1]);
+    return out;
+  }();
+  return r;
 }
 
 /// The acceptance workload: full extraction of a 64-metric x 1024-sample
@@ -89,29 +135,39 @@ void BM_SeriesProfile(benchmark::State& state) {
 BENCHMARK(BM_SeriesProfile)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
-/// Per-hop cost of the incremental extractor: absorb `hop` new rows and
-/// emit all features for the sliding window.  Compare against
-/// BM_FullRecomputeHop at the same (window, hop) — the incremental engine's
-/// reason to exist is this per-hop delta.  Single metric column so the
-/// numbers isolate the per-series engines (no parallel_for fan-out noise).
+/// Per-hop cost of the incremental extractor for one metric column: absorb
+/// `hop` new rows and emit all features for the sliding window.  Compare
+/// against BM_FullRecomputeHop at the same (window, hop) — the incremental
+/// engine's reason to exist is this per-hop delta.  One single-column
+/// extractor per ribbon kind (no parallel_for fan-out); each iteration
+/// advances the next one by a hop of fresh ribbon rows.
 void BM_IncrementalHop(benchmark::State& state) {
   const auto window = static_cast<std::size_t>(state.range(0));
   const auto hop = static_cast<std::size_t>(state.range(1));
+  const Ribbon& rb = ribbon();
   features::IncrementalConfig config;
   config.window = window;
   config.hop = hop;
-  features::IncrementalNodeExtractor extractor(
-      1, {features::ColumnKind::kGauge}, config);
   std::vector<double> out(features::features_per_metric());
-  // A long random ribbon replayed in hop-sized deltas (wraps around).
-  const tensor::Matrix ribbon = make_window(window * 8, 1, 17);
-  extractor.absorb_and_extract(ribbon.slice_rows(0, window), out);
-  std::size_t at = window;
+  std::array<std::unique_ptr<features::IncrementalNodeExtractor>,
+             Ribbon::kKinds>
+      extractors;
+  for (std::size_t k = 0; k < Ribbon::kKinds; ++k) {
+    extractors[k] = std::make_unique<features::IncrementalNodeExtractor>(
+        1, std::vector<features::ColumnKind>{rb.kinds[k]}, config);
+    extractors[k]->absorb_and_extract(rb.raw[k].slice_rows(0, window), out);
+  }
+  std::array<std::size_t, Ribbon::kKinds> at;
+  at.fill(window);
+  std::size_t k = 0;
   for (auto _ : state) {
-    if (at + hop > ribbon.rows()) at = 0;  // keep feeding; window stays full
-    extractor.absorb_and_extract(ribbon.slice_rows(at, hop), out);
+    // Past the ribbon's end, keep feeding from its start: the window stays
+    // full and the wrap is one discontinuity in 2^18 rows.
+    if (at[k] + hop > Ribbon::kRows) at[k] = 0;
+    extractors[k]->absorb_and_extract(rb.raw[k].slice_rows(at[k], hop), out);
     benchmark::DoNotOptimize(out.data());
-    at += hop;
+    at[k] += hop;
+    k = k + 1 == Ribbon::kKinds ? 0 : k + 1;
   }
   state.counters["hops_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
@@ -124,17 +180,31 @@ BENCHMARK(BM_IncrementalHop)
     ->Args({4096, 16})
     ->Unit(benchmark::kMicrosecond);
 
-/// The same per-hop workload through the batch path: rebuild the window
-/// and run the full single-pass engine (what the streaming scorer's
-/// kFullRecompute mode pays per hop).
+/// The same per-hop workload through the batch path, on the same ribbon
+/// windows: gather the column's window, clean it window-locally (gap
+/// interpolation, counter rates) and run the full single-pass engine —
+/// what the streaming scorer's kFullRecompute mode pays per column per hop.
 void BM_FullRecomputeHop(benchmark::State& state) {
   const auto window = static_cast<std::size_t>(state.range(0));
-  const auto xs = make_series(window, 17);
+  const auto hop = static_cast<std::size_t>(state.range(1));
+  const Ribbon& rb = ribbon();
   std::vector<double> out(features::features_per_metric());
+  std::vector<double> series(window);
   features::FeatureScratch scratch;
+  std::array<std::size_t, Ribbon::kKinds> at{};
+  std::size_t k = 0;
   for (auto _ : state) {
-    features::compute_all_features(xs, out, scratch);
+    if (at[k] + window > Ribbon::kRows) at[k] = 0;
+    const double* column = rb.raw[k].data() + at[k];
+    std::copy(column, column + window, series.begin());
+    features::linear_interpolate(series);
+    if (rb.kinds[k] == features::ColumnKind::kCounter) {
+      features::counter_to_rate_inplace(series);
+    }
+    features::compute_all_features(series, out, scratch);
     benchmark::DoNotOptimize(out.data());
+    at[k] += hop;
+    k = k + 1 == Ribbon::kKinds ? 0 : k + 1;
   }
   state.counters["hops_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
@@ -154,24 +224,32 @@ BENCHMARK(BM_FullRecomputeHop)
 // the scalar oracles are the verbatim historical loops or the identical
 // lane DAG without vector hints).
 
-/// ApEn pair sweep (the entropy group's dominant cost): subsampled series,
-/// m = 2, r = 0.2 sigma — the registry's exact call shape.
+/// ApEn pair sweep (the entropy group's dominant cost) with its sort:
+/// m = 2, r = 0.2 sigma — the registry's exact call shape — over n-point
+/// windows of the cleaned ribbon that slide by the shipped hop (16 rows),
+/// rotating kinds.  The per-window r (one O(n) stddev) is inside the timed
+/// loop.
 void BM_ApEnSweep(benchmark::State& state) {
   kernels::force_scalar(state.range(1) != 0);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto xs = make_series(n, 29);
-  // r at the pipeline's 0.2 * stddev (make_series draws from sd = 2.0).
-  const double r = 0.4;
-  constexpr std::size_t kDim = 2;
+  const Ribbon& rb = ribbon();
+  constexpr std::size_t kDim = 2;  // the registry's embedding dimension
   std::vector<std::uint32_t> lo(n - kDim + 1);
   std::vector<std::uint32_t> hi(n - kDim);
   kernels::ApEnScratch scratch;
+  std::array<std::size_t, Ribbon::kKinds> at{};
+  std::size_t k = 0;
   for (auto _ : state) {
+    if (at[k] + n > Ribbon::kRows) at[k] = 0;
+    const std::span<const double> xs(rb.clean[k].data() + at[k], n);
+    const double r = 0.2 * tensor::stddev(xs);
     std::fill(lo.begin(), lo.end(), 1u);
     std::fill(hi.begin(), hi.end(), 1u);
     kernels::apen_match_counts(xs, kDim, r, lo, hi, scratch);
     benchmark::DoNotOptimize(lo.data());
     benchmark::DoNotOptimize(hi.data());
+    at[k] += 16;
+    k = k + 1 == Ribbon::kKinds ? 0 : k + 1;
   }
   kernels::force_scalar(false);
 }

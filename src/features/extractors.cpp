@@ -239,15 +239,19 @@ double cid_ce(std::span<const double> xs, bool normalize) noexcept {
   return cid_ce(xs, true, tensor::mean(xs), tensor::stddev(xs));
 }
 
-double approximate_entropy(std::span<const double> xs, std::size_t m, double r_frac) {
-  constexpr std::size_t kMaxPoints = 256;  // O(n^2) cost control
+namespace {
+
+/// approximate_entropy's body.  `ordered` selects the caller's dim-1 order
+/// (order_values/order_index) over the kernel's own sort.
+double approximate_entropy_impl(std::span<const double> xs, std::size_t m,
+                                double r_frac, bool ordered,
+                                std::span<const double> order_values,
+                                std::span<const std::uint32_t> order_index) {
   thread_local std::vector<double> series;
-  if (xs.size() > kMaxPoints) {
-    series.clear();
-    series.reserve(kMaxPoints);
-    const double stride = static_cast<double>(xs.size()) / kMaxPoints;
-    for (std::size_t i = 0; i < kMaxPoints; ++i) {
-      series.push_back(xs[static_cast<std::size_t>(static_cast<double>(i) * stride)]);
+  if (xs.size() > kApEnMaxPoints) {
+    series.resize(kApEnMaxPoints);
+    for (std::size_t i = 0; i < kApEnMaxPoints; ++i) {
+      series[i] = xs[apen_sample_position(i, xs.size())];
     }
   } else {
     series.assign(xs.begin(), xs.end());
@@ -268,9 +272,10 @@ double approximate_entropy(std::span<const double> xs, std::size_t m, double r_f
   // agrees, so the expensive prefix comparison is shared, and (i, j) /
   // (j, i) are counted together.  The kernel runs the sorted dim-1
   // prefilter as a vector diagonal sweep over lane-contiguous arrays;
-  // counts are integers, so the lane order cannot change them, and the phi
-  // log-sums below keep the original index order — the result is
-  // bit-identical to the naive two-pass O(2 n^2 m) loop.
+  // counts are integers, so the lane order (and the order of tied first
+  // components) cannot change them, and the phi log-sums below keep the
+  // original index order — the result is bit-identical to the naive
+  // two-pass O(2 n^2 m) loop.
   const std::size_t count_lo = n - m + 1;  // windows of length m
   const std::size_t count_hi = n - m;      // windows of length m+1
   thread_local std::vector<std::uint32_t> matches_lo;
@@ -278,8 +283,14 @@ double approximate_entropy(std::span<const double> xs, std::size_t m, double r_f
   matches_lo.assign(count_lo, 1);  // self-match
   matches_hi.assign(count_hi, 1);
   thread_local kernels::ApEnScratch apen_scratch;
-  kernels::apen_match_counts(series, m, r, matches_lo, matches_hi,
-                             apen_scratch);
+  if (ordered) {
+    kernels::apen_match_counts_ordered(series, m, r, order_values,
+                                       order_index, matches_lo, matches_hi,
+                                       apen_scratch);
+  } else {
+    kernels::apen_match_counts(series, m, r, matches_lo, matches_hi,
+                               apen_scratch);
+  }
 
   // Match counts are small integers in [1, count], so the log terms repeat
   // heavily; precompute log(k / count) once per distinct count (two per
@@ -303,6 +314,20 @@ double approximate_entropy(std::span<const double> xs, std::size_t m, double r_f
   thread_local std::vector<double> log_table_hi;
   return std::abs(phi(matches_lo, log_table_lo) -
                   phi(matches_hi, log_table_hi));
+}
+
+}  // namespace
+
+double approximate_entropy(std::span<const double> xs, std::size_t m,
+                           double r_frac) {
+  return approximate_entropy_impl(xs, m, r_frac, false, {}, {});
+}
+
+double approximate_entropy(std::span<const double> xs, std::size_t m,
+                           double r_frac, std::span<const double> order_values,
+                           std::span<const std::uint32_t> order_index) {
+  return approximate_entropy_impl(xs, m, r_frac, true, order_values,
+                                  order_index);
 }
 
 double binned_entropy(std::span<const double> xs, std::size_t max_bins,

@@ -64,9 +64,28 @@ double cid_ce(std::span<const double> xs, bool normalize) noexcept;
 /// moments are only read when `normalize` is true.
 double cid_ce(std::span<const double> xs, bool normalize, double mean,
               double stddev) noexcept;
-/// Approximate entropy with embedding dimension m and tolerance r_frac * std.
-/// Series longer than 256 points are subsampled for O(n^2) cost control.
+/// approximate_entropy's O(n^2) cost control: longer series are subsampled
+/// to this many points.
+inline constexpr std::size_t kApEnMaxPoints = 256;
+/// Position in an n-point series of approximate_entropy's i-th sample:
+/// i itself when n <= kApEnMaxPoints, else floor(i * n / kApEnMaxPoints).
+/// The one definition of the subsample, shared by every caller that maps
+/// between the two index spaces.
+inline std::size_t apen_sample_position(std::size_t i, std::size_t n) noexcept {
+  if (n <= kApEnMaxPoints) return i;
+  const double stride = static_cast<double>(n) / kApEnMaxPoints;
+  return static_cast<std::size_t>(static_cast<double>(i) * stride);
+}
+/// Approximate entropy with embedding dimension m and tolerance r_frac * std,
+/// over the (subsampled) series.
 double approximate_entropy(std::span<const double> xs, std::size_t m, double r_frac);
+/// The same value from a caller-supplied dim-1 template order over the
+/// subsampled series s (see kernels::apen_match_counts_ordered): the values
+/// s[i] of its first s.size() - m + 1 positions in ascending order, with
+/// their indices i.  Skips the sort; the result is bit-identical.
+double approximate_entropy(std::span<const double> xs, std::size_t m,
+                           double r_frac, std::span<const double> order_values,
+                           std::span<const std::uint32_t> order_index);
 /// Shannon entropy of a max_bins equal-width histogram.
 double binned_entropy(std::span<const double> xs, std::size_t max_bins);
 /// Extrema-reusing variant (the two-argument form delegates here).

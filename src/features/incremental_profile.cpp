@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -17,68 +18,91 @@ namespace prodigy::features {
 // ---------------------------------------------------------------------------
 // SortedWindow
 
-void SortedWindow::insert(double value) {
-  if (blocks_.empty()) {
-    blocks_.emplace_back().push_back(value);
-    ++size_;
-    return;
-  }
-  // First block whose largest element is >= value; earlier blocks hold only
-  // smaller values, so inserting here keeps the concatenation sorted.
-  auto bit = std::lower_bound(
-      blocks_.begin(), blocks_.end(), value,
-      [](const std::vector<double>& b, double v) { return b.back() < v; });
-  if (bit == blocks_.end()) --bit;
-  bit->insert(std::upper_bound(bit->begin(), bit->end(), value), value);
-  ++size_;
-  if (bit->size() > 2 * kTargetBlock) {
-    const std::size_t half = bit->size() / 2;
-    std::vector<double> hi(bit->begin() + static_cast<std::ptrdiff_t>(half),
-                           bit->end());
-    bit->resize(half);
-    blocks_.insert(bit + 1, std::move(hi));
-  }
+namespace {
+
+/// Whether a 32-bit row is at or after the 32-bit window start.  Modular,
+/// so the truncated rows keep working past 2^32 pushed rows.
+inline std::uint32_t is_live(std::uint32_t row, std::uint32_t start) noexcept {
+  return static_cast<std::uint32_t>(row - start) < (1u << 31) ? 1u : 0u;
 }
 
-bool SortedWindow::erase(double value) {
-  // The first block with back() >= value must contain the value if any
-  // block does: a preceding block with back() >= value would sandwich its
-  // back between value occurrences, forcing back() == value.
-  auto bit = std::lower_bound(
-      blocks_.begin(), blocks_.end(), value,
-      [](const std::vector<double>& b, double v) { return b.back() < v; });
-  if (bit == blocks_.end()) return false;
-  const auto it = std::lower_bound(bit->begin(), bit->end(), value);
-  if (it == bit->end() || *it != value) return false;
-  bit->erase(it);
-  if (bit->empty()) blocks_.erase(bit);
-  --size_;
-  return true;
+}  // namespace
+
+void SortedWindow::push(double value, std::uint64_t row) {
+  pending_.emplace_back(value, static_cast<std::uint32_t>(row));
+}
+
+void SortedWindow::advance(std::uint64_t start) {
+  const auto s32 = static_cast<std::uint32_t>(start);
+  // Branch-free compaction: every element is copied down, and the write
+  // cursor only moves past the live ones.
+  std::size_t kept = 0;
+  {
+    double* v = values_.data();
+    std::uint32_t* r = rows_.data();
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      v[kept] = v[i];
+      r[kept] = r[i];
+      kept += is_live(r[i], s32);
+    }
+  }
+  std::size_t queued = 0;
+  for (const auto& entry : pending_) {
+    pending_[queued] = entry;
+    queued += is_live(entry.second, s32);
+  }
+  pending_.resize(queued);
+  std::sort(pending_.begin(), pending_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  // Merge from the back: the array's elements below the smallest queued
+  // value never move.
+  values_.resize(kept + queued);
+  rows_.resize(kept + queued);
+  double* v = values_.data();
+  std::uint32_t* r = rows_.data();
+  std::size_t i = kept;
+  std::size_t out = kept + queued;
+  for (std::size_t j = queued; j > 0;) {
+    --out;
+    if (i > 0 && v[i - 1] > pending_[j - 1].first) {
+      --i;
+      v[out] = v[i];
+      r[out] = r[i];
+    } else {
+      --j;
+      v[out] = pending_[j].first;
+      r[out] = pending_[j].second;
+    }
+  }
+  pending_.clear();
+  // A queue that once held more rows than a window (a large delta) does
+  // not keep that capacity.
+  if (pending_.capacity() > values_.size()) pending_.shrink_to_fit();
+}
+
+void SortedWindow::rebuild(std::span<const double> values,
+                           std::uint64_t start) {
+  thread_local std::vector<std::pair<double, std::uint32_t>> order;
+  order.resize(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    order[i] = {values[i], static_cast<std::uint32_t>(start + i)};
+  }
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  values_.resize(order.size());
+  rows_.resize(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    values_[k] = order[k].first;
+    rows_[k] = order[k].second;
+  }
+  pending_.clear();
 }
 
 void SortedWindow::clear() {
-  blocks_.clear();
-  size_ = 0;
-}
-
-void SortedWindow::rebuild(std::span<const double> values) {
-  clear();
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < sorted.size(); i += kTargetBlock) {
-    const std::size_t count = std::min(kTargetBlock, sorted.size() - i);
-    blocks_.emplace_back(sorted.begin() + static_cast<std::ptrdiff_t>(i),
-                         sorted.begin() + static_cast<std::ptrdiff_t>(i + count));
-  }
-  size_ = sorted.size();
-}
-
-void SortedWindow::copy_sorted(util::AlignedVec<double>& out) const {
-  out.clear();
-  out.reserve(size_);
-  for (const auto& block : blocks_) {
-    out.insert(out.end(), block.begin(), block.end());
-  }
+  values_.clear();
+  rows_.clear();
+  pending_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -157,8 +181,11 @@ struct IncrementalNodeExtractor::MetricState {
   // structures whose from-scratch rebuild is super-linear.)
   double k_shift = 0.0;    // K: re-centered at each rebuild
   double sum_shift = 0.0;  // sum of (g - K)
+  // The window's g values in ascending order.  While a rebuild is due (a
+  // fresh state, or after an exact fallback) new rows are not queued: the
+  // rebuild sorts the whole window from the pre ring anyway.
   SortedWindow sorted;
-  bool needs_rebuild = false;
+  bool needs_rebuild = true;
 
   // Extrema over g with global indices (gauges only; counter windows
   // rescan at emission because their first element differs from g).
@@ -180,21 +207,57 @@ struct IncrementalNodeExtractor::MetricState {
   std::uint32_t digit_counted = 0;  // finite, non-zero g in the window
 
   std::uint64_t emissions_since_rebuild = 0;
-
-  // Per-metric stats (summed by stats()).
-  std::uint64_t exact_fallbacks = 0;
-  std::uint64_t scheduled_recomputes = 0;
-  std::uint64_t drift_recomputes = 0;
 };
+
+namespace {
+
+/// How one metric-window was produced (tallied into IncrementalStats).
+enum class Emission : std::uint8_t {
+  kIncremental,
+  kExactFallback,
+  kScheduledRebuild,
+  kDriftRebuild,
+};
+
+/// The extractor's registry counters, resolved once per process.
+struct IncrementalMetrics {
+  util::Counter* windows;
+  util::Counter* exact_fallbacks;
+  util::Counter* scheduled_recomputes;
+  util::Counter* drift_recomputes;
+
+  static IncrementalMetrics& instance() {
+    static IncrementalMetrics metrics = [] {
+      auto& registry = util::MetricsRegistry::global();
+      IncrementalMetrics m;
+      m.windows = &registry.counter("prodigy_features_incremental_windows_total");
+      m.exact_fallbacks = &registry.counter(
+          "prodigy_features_incremental_exact_fallbacks_total");
+      m.scheduled_recomputes = &registry.counter(
+          "prodigy_features_incremental_scheduled_recomputes_total");
+      m.drift_recomputes = &registry.counter(
+          "prodigy_features_incremental_drift_recomputes_total");
+      return m;
+    }();
+    return metrics;
+  }
+};
+
+}  // namespace
 
 struct IncrementalNodeExtractor::Impl {
   std::size_t cols = 0;
   IncrementalConfig config;
   std::vector<std::uint8_t> is_counter;
   std::vector<MetricState> states;
+  // Window position -> index in approximate entropy's (subsampled) series,
+  // kNotSampled for positions the subsample skips.
+  std::vector<std::uint32_t> apen_series_index;
   std::uint64_t pushed = 0;
-  std::uint64_t windows = 0;
+  IncrementalStats totals;
   bool poisoned = false;
+
+  static constexpr std::uint32_t kNotSampled = ~std::uint32_t{0};
 
   void init_state(MetricState& st) const {
     const std::size_t W = config.window;
@@ -209,9 +272,9 @@ struct IncrementalNodeExtractor::Impl {
   void push_resolved(MetricState& st, std::size_t m, double value,
                      std::uint64_t q);
   void rebuild_state(MetricState& st, std::uint64_t end) const;
-  void extract_metric(MetricState& st, std::size_t m, std::span<double> out,
-                      FeatureScratch& scratch, std::uint64_t end);
-  IncrementalStats sum_stats() const;
+  Emission extract_metric(MetricState& st, std::size_t m,
+                          std::span<double> out, FeatureScratch& scratch,
+                          std::uint64_t end);
 };
 
 void IncrementalNodeExtractor::Impl::push_raw(MetricState& st, std::size_t m,
@@ -258,7 +321,6 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
     // Retire row q - W: read everything before this push overwrites slots.
     const double g_old = st.pre[static_cast<std::size_t>((q - W) % (W + 1))];
     st.sum_shift -= g_old - st.k_shift;
-    if (!st.sorted.erase(g_old)) st.needs_rebuild = true;
     if (const int d = benford_first_digit(g_old); d != 0) {
       --st.digit_counts[static_cast<std::size_t>(d - 1)];
       --st.digit_counted;
@@ -278,7 +340,7 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
 
   st.pre[static_cast<std::size_t>(q % (W + 1))] = g;
   st.sum_shift += g - st.k_shift;
-  st.sorted.insert(g);
+  if (!st.needs_rebuild) st.sorted.push(g, q);
   if (const int d = benford_first_digit(g); d != 0) {
     ++st.digit_counts[static_cast<std::size_t>(d - 1)];
     ++st.digit_counted;
@@ -348,7 +410,7 @@ void IncrementalNodeExtractor::Impl::rebuild_state(MetricState& st,
   st.k_shift = sum / static_cast<double>(W);  // re-center at the window mean
   st.sum_shift = 0.0;
   for (double g : window) st.sum_shift += g - st.k_shift;
-  st.sorted.rebuild(window);
+  st.sorted.rebuild(window, start);
 
   const ExtremaScan ex = scan_extrema(window);
   st.extrema_valid = true;
@@ -361,11 +423,9 @@ void IncrementalNodeExtractor::Impl::rebuild_state(MetricState& st,
   st.needs_rebuild = false;
 }
 
-void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
-                                                    std::size_t m,
-                                                    std::span<double> out,
-                                                    FeatureScratch& scratch,
-                                                    std::uint64_t end) {
+Emission IncrementalNodeExtractor::Impl::extract_metric(
+    MetricState& st, std::size_t m, std::span<double> out,
+    FeatureScratch& scratch, std::uint64_t end) {
   const std::size_t W = config.window;
   const std::uint64_t start = end - W;
   const bool counter = is_counter[m] != 0;
@@ -381,14 +441,16 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
       end <= st.hard_until) {
     // Run the exact batch cleaning over the raw ring (window-local, like
     // preprocess_node) and the full profile.  Bit-identical to the batch
-    // path by construction.
-    ++st.exact_fallbacks;
+    // path by construction.  The sorted window is not advanced here; the
+    // next clean emission rebuilds it.
     scratch.column.resize(W);
     copy_ring(st.raw, start, W, scratch.column.data());
     if (config.interpolate) linear_interpolate(scratch.column);
     if (counter) counter_to_rate_inplace(scratch.column);
     compute_all_features(scratch.column, out, scratch);
-    return;
+    st.sorted.clear();
+    st.needs_rebuild = true;
+    return Emission::kExactFallback;
   }
 
   // Materialize the cleaned window f.  For counters the stream keeps
@@ -416,14 +478,21 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
   const double scale =
       std::sqrt(std::max(0.0, energy_f) * static_cast<double>(W));
 
+  Emission path = Emission::kIncremental;
   bool rebuild = st.needs_rebuild;
   if (++st.emissions_since_rebuild >= config.recompute_interval) {
     rebuild = true;
-    ++st.scheduled_recomputes;
+    path = Emission::kScheduledRebuild;
   } else if (std::abs(rolling_sum - sum_g) >
              config.drift_tolerance * std::max(scale, 1e-12)) {
     rebuild = true;
-    ++st.drift_recomputes;
+    path = Emission::kDriftRebuild;
+  }
+  if (!rebuild) {
+    // Carry the sorted window forward; a size mismatch means the carried
+    // rows do not cover the window, so rebuild it from the ring instead.
+    st.sorted.advance(start);
+    rebuild = st.sorted.size() != W;
   }
   if (rebuild) {
     rebuild_state(st, end);
@@ -484,18 +553,22 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
     p.crossings = rstats.crossings;
   }
 
-  // Order statistics: O(W) concatenation of the sorted chunks reproduces
-  // std::sort(f) bit-exactly (plus the one-element counter swap).
-  st.sorted.copy_sorted(scratch.sorted);
+  // Order statistics read the carried array: it equals std::sort(g) over
+  // the window, which is std::sort(f) for gauges and one element swap away
+  // from it for counters.
+  const std::span<const double> sorted_g = st.sorted.values();
   if (counter) {
+    scratch.sorted.assign(sorted_g.begin(), sorted_g.end());
     const auto rm = std::lower_bound(scratch.sorted.begin(),
                                      scratch.sorted.end(), g_s);
     scratch.sorted.erase(rm);
     const auto at = std::lower_bound(scratch.sorted.begin(),
                                      scratch.sorted.end(), f0);
     scratch.sorted.insert(at, f0);
+    p.sorted = scratch.sorted;
+  } else {
+    p.sorted = sorted_g;
   }
-  p.sorted = scratch.sorted;
   p.nan_count = 0;  // untainted by definition of this path
 
   // Rolling integer window statistics.  The counts below are the exact
@@ -558,6 +631,47 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
   }
   rs.has_benford = true;
   rs.benford = benford_correlation_from_counts(digits, counted);
+
+  // Approximate entropy's dim-1 template order, filtered out of the carried
+  // order in one branch-free pass: each (value, row) maps through the
+  // window position to its series index, and only the templates survive —
+  // positions the subsample skips, the last kApEnDim - 1 series positions,
+  // and (counters) position 0, whose g is not f[0], drop out.  The
+  // counter's f[0] then goes back in at its sorted place.  Ties may land in
+  // any order; the match counts do not depend on it.
+  {
+    static_assert(kApEnDim <= 2, "W >= 2 must leave a template");
+    const auto templates = static_cast<std::uint32_t>(
+        std::min(W, kApEnMaxPoints) - kApEnDim + 1);
+    const std::uint32_t skip = counter ? 1 : 0;
+    scratch.apen_values.resize(W + 1);
+    scratch.apen_index.resize(W + 1);
+    double* ov = scratch.apen_values.data();
+    std::uint32_t* oi = scratch.apen_index.data();
+    const std::uint32_t* series_index = apen_series_index.data();
+    const std::span<const std::uint32_t> rows = st.sorted.rows();
+    const auto s32 = static_cast<std::uint32_t>(start);
+    std::size_t kept = 0;
+    for (std::size_t b = 0; b < W; ++b) {
+      const std::uint32_t idx =
+          series_index[static_cast<std::uint32_t>(rows[b] - s32)];
+      ov[kept] = sorted_g[b];
+      oi[kept] = idx;
+      kept += (idx - skip) < (templates - skip) ? 1 : 0;
+    }
+    if (counter) {
+      const std::size_t at = static_cast<std::size_t>(
+          std::lower_bound(ov, ov + kept, f0) - ov);
+      std::copy_backward(ov + at, ov + kept, ov + kept + 1);
+      std::copy_backward(oi + at, oi + kept, oi + kept + 1);
+      ov[at] = f0;
+      oi[at] = 0;
+      ++kept;
+    }
+    rs.has_apen_order = true;
+    rs.apen_values = {ov, kept};
+    rs.apen_index = {oi, kept};
+  }
   p.rolling = &rs;
 
   power_spectrum(f, scratch.fft, scratch.power);
@@ -567,17 +681,7 @@ void IncrementalNodeExtractor::Impl::extract_metric(MetricState& st,
   p.trend = linear_trend(f);
 
   compute_features_from_profile(p, out);
-}
-
-IncrementalStats IncrementalNodeExtractor::Impl::sum_stats() const {
-  IncrementalStats s;
-  s.windows = windows;
-  for (const auto& st : states) {
-    s.exact_fallbacks += st.exact_fallbacks;
-    s.scheduled_recomputes += st.scheduled_recomputes;
-    s.drift_recomputes += st.drift_recomputes;
-  }
-  return s;
+  return path;
 }
 
 IncrementalNodeExtractor::IncrementalNodeExtractor(
@@ -602,6 +706,13 @@ IncrementalNodeExtractor::IncrementalNodeExtractor(
 
   im.states.resize(cols);
   for (auto& st : im.states) im.init_state(st);
+
+  const std::size_t W = config.window;
+  im.apen_series_index.assign(W, Impl::kNotSampled);
+  for (std::size_t i = 0; i < std::min(W, kApEnMaxPoints); ++i) {
+    im.apen_series_index[apen_sample_position(i, W)] =
+        static_cast<std::uint32_t>(i);
+  }
 }
 
 IncrementalNodeExtractor::~IncrementalNodeExtractor() = default;
@@ -629,7 +740,11 @@ bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
   const std::uint64_t base = im.pushed;
   const std::uint64_t end = base + rows;
   const bool emit = end >= im.config.window;
-  const IncrementalStats before = im.sum_stats();
+
+  // This emission's per-metric outcomes, tallied as they happen.
+  std::atomic<std::uint32_t> fallbacks{0};
+  std::atomic<std::uint32_t> scheduled{0};
+  std::atomic<std::uint32_t> drift{0};
 
   // Any exception below leaves some metrics half-absorbed; poison the
   // extractor so the caller must reset() (and refill) before continuing.
@@ -640,32 +755,38 @@ bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
     for (std::size_t r = 0; r < rows; ++r) {
       im.push_raw(st, m, delta(r, m), base + r);
     }
-    if (emit) {
-      im.extract_metric(st, m,
-                        out.subspan(m * per_metric, per_metric), scratch, end);
+    if (!emit) return;
+    switch (im.extract_metric(st, m, out.subspan(m * per_metric, per_metric),
+                              scratch, end)) {
+      case Emission::kIncremental:
+        break;
+      case Emission::kExactFallback:
+        fallbacks.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case Emission::kScheduledRebuild:
+        scheduled.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case Emission::kDriftRebuild:
+        drift.fetch_add(1, std::memory_order_relaxed);
+        break;
     }
   });
   im.pushed = end;
   im.poisoned = false;
 
   if (emit) {
-    ++im.windows;
-    const IncrementalStats after = im.sum_stats();
-    auto& registry = util::MetricsRegistry::global();
-    registry.counter("prodigy_features_incremental_windows_total").increment();
-    if (after.exact_fallbacks > before.exact_fallbacks) {
-      registry.counter("prodigy_features_incremental_exact_fallbacks_total")
-          .increment(after.exact_fallbacks - before.exact_fallbacks);
-    }
-    if (after.scheduled_recomputes > before.scheduled_recomputes) {
-      registry
-          .counter("prodigy_features_incremental_scheduled_recomputes_total")
-          .increment(after.scheduled_recomputes - before.scheduled_recomputes);
-    }
-    if (after.drift_recomputes > before.drift_recomputes) {
-      registry.counter("prodigy_features_incremental_drift_recomputes_total")
-          .increment(after.drift_recomputes - before.drift_recomputes);
-    }
+    const std::uint32_t n_fallbacks = fallbacks.load(std::memory_order_relaxed);
+    const std::uint32_t n_scheduled = scheduled.load(std::memory_order_relaxed);
+    const std::uint32_t n_drift = drift.load(std::memory_order_relaxed);
+    ++im.totals.windows;
+    im.totals.exact_fallbacks += n_fallbacks;
+    im.totals.scheduled_recomputes += n_scheduled;
+    im.totals.drift_recomputes += n_drift;
+    const IncrementalMetrics& metrics = IncrementalMetrics::instance();
+    metrics.windows->increment();
+    if (n_fallbacks > 0) metrics.exact_fallbacks->increment(n_fallbacks);
+    if (n_scheduled > 0) metrics.scheduled_recomputes->increment(n_scheduled);
+    if (n_drift > 0) metrics.drift_recomputes->increment(n_drift);
   }
   return emit;
 }
@@ -690,7 +811,7 @@ bool IncrementalNodeExtractor::window_complete() const noexcept {
 }
 
 IncrementalStats IncrementalNodeExtractor::stats() const {
-  return impl_->sum_stats();
+  return impl_->totals;
 }
 
 }  // namespace prodigy::features

@@ -14,10 +14,14 @@
 //    comparing it against the rolling sum bounds the accumulated float
 //    drift of the carried state and triggers an exact rebuild
 //    when it exceeds tolerance;
-//  * a merge-of-sorted-chunks multiset (SortedWindow) whose O(W)
-//    concatenation at emission reproduces the fully sorted window
-//    bit-exactly, replacing the per-window O(W log W) sort behind the
-//    8 order/quantile features;
+//  * a carried sorted order (SortedWindow): one flat ascending array of
+//    (value, row) per metric.  Rows arriving between emissions are only
+//    queued; at emission one branch-free pass drops the expired rows and
+//    the <= H queued rows are sorted and merged in from the back.  The
+//    array replaces the per-window O(W log W) sort behind the 8
+//    order/quantile features, and approximate entropy reads its dim-1
+//    template order from it (one O(W) filter through a window-position ->
+//    series-index map) instead of sorting its templates;
 //  * expiry-aware extrema: min/max and their first/last locations are
 //    updated per push and re-scanned only when the retiring rows held the
 //    recorded extreme.
@@ -45,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace prodigy::features {
@@ -71,7 +76,8 @@ struct IncrementalConfig {
   double drift_tolerance = 1e-9;
 };
 
-/// Counters aggregated across all metrics of one extractor.
+/// Counters aggregated across all metrics of one extractor since
+/// construction (reset() keeps them).
 struct IncrementalStats {
   std::uint64_t windows = 0;              // emissions (per extractor)
   std::uint64_t exact_fallbacks = 0;      // tainted metric-windows
@@ -79,33 +85,37 @@ struct IncrementalStats {
   std::uint64_t drift_recomputes = 0;     // sentinel-triggered rebuilds
 };
 
-/// Order-statistics structure for one sliding window: a sequence of small
-/// sorted blocks whose concatenation is the ascending multiset of the
-/// window's values.  insert/erase are O(W / B + B + log B) with block size
-/// B; copy_sorted is a straight O(W) concatenation that reproduces
-/// std::sort's output bit-exactly (equal doubles are interchangeable).
-/// Values must be non-NaN (NaN-bearing windows use the exact fallback).
+/// Order-statistics structure for one sliding window, carried across hops:
+/// one flat array of the window's values in ascending order, each paired
+/// with its row (the low 32 bits of the global row index).  push() only
+/// queues a new row; advance(start) brings the array to the window that
+/// begins at row `start` in O(W + P log P) for P queued rows: one
+/// branch-free pass drops the rows older than `start`, then the sorted
+/// queue is merged in from the back.  values() equals std::sort of the live
+/// rows' values bit-exactly (equal doubles are interchangeable) and rows()
+/// is a permutation of the live rows with values()[k] the value pushed for
+/// rows()[k].  Values must be non-NaN (NaN-bearing windows use the exact
+/// fallback); the live rows and the queue must lie within 2^31 rows of
+/// `start`.
 class SortedWindow {
  public:
-  void insert(double value);
-  /// Removes one instance; returns false if the value is absent (which
-  /// indicates corrupted state — callers treat it as a rebuild trigger).
-  bool erase(double value);
+  /// Queues (value, row) for the next advance().
+  void push(double value, std::uint64_t row);
+  /// Drops every row < start (array and queue), then merges the queue.
+  void advance(std::uint64_t start);
+  /// Replaces the contents with `values[i]` at row start + i, sorted once
+  /// (O(W log W)); drops the queue.
+  void rebuild(std::span<const double> values, std::uint64_t start);
+  /// Empties the array and the queue (capacity is kept).
   void clear();
-  /// Rebuilds from an unsorted window in O(W log W).
-  void rebuild(std::span<const double> values);
-  std::size_t size() const noexcept { return size_; }
-  /// Overwrites `out` with all values in ascending order.  Takes the
-  /// 64-byte-aligned scratch type: the concatenation feeds the feature
-  /// kernels' vector loads.
-  void copy_sorted(util::AlignedVec<double>& out) const;
+  std::size_t size() const noexcept { return values_.size(); }
+  std::span<const double> values() const noexcept { return values_; }
+  std::span<const std::uint32_t> rows() const noexcept { return rows_; }
 
  private:
-  // Blocks split at 2 * kTargetBlock, so they stay cache-sized and the
-  // per-insert memmove cost stays bounded.
-  static constexpr std::size_t kTargetBlock = 64;
-  std::vector<std::vector<double>> blocks_;  // nonempty, globally sorted
-  std::size_t size_ = 0;
+  util::AlignedVec<double> values_;
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::pair<double, std::uint32_t>> pending_;
 };
 
 /// Per-node incremental extractor: one rolling state per metric column.

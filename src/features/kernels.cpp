@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 // Same escape hatch as tensor/kernels.cpp: under PRODIGY_NO_SIMD every hint
 // is a no-op and the lane loops compile as plain scalar code — evaluating
@@ -795,44 +796,37 @@ void apen_match_counts_scalar(std::span<const double> series, std::size_t m,
   }
 }
 
-void apen_match_counts(std::span<const double> series, std::size_t m,
-                       double r, std::span<std::uint32_t> matches_lo,
-                       std::span<std::uint32_t> matches_hi,
-                       ApEnScratch& scratch) {
+void apen_match_counts_ordered(std::span<const double> series, std::size_t m,
+                               double r, std::span<const double> order_values,
+                               std::span<const std::uint32_t> order_index,
+                               std::span<std::uint32_t> matches_lo,
+                               std::span<std::uint32_t> matches_hi,
+                               ApEnScratch& scratch) {
+  if (order_values.size() != matches_lo.size() ||
+      order_index.size() != matches_lo.size()) {
+    throw std::invalid_argument(
+        "apen_match_counts_ordered: order length != template count");
+  }
   if (g_force_scalar || m == 0) {
     apen_match_counts_scalar(series, m, r, matches_lo, matches_hi, scratch);
     return;
   }
   const std::size_t count_lo = matches_lo.size();
   const std::size_t count_hi = matches_hi.size();
+  const double* vals = order_values.data();
+  const std::uint32_t* idxs = order_index.data();
 
   // Same sorted dim-1 prefilter as the scalar sweep, but the run scan is
-  // register-tiled: the sort order's window-start indices and their k-th
-  // components are packed into lane-contiguous arrays once per call, so the
-  // inner tile is all unit-stride loads.  level k of `next` holds
-  // series[idx + k]; the extension level m stores +inf for the one
-  // window-start index >= count_hi, which fails !(|a - b| > r) against any
-  // finite anchor — the max(i, j) < count_hi guard folded into data.  (The
-  // anchor side uses the same sentinel; both operands can never be the
-  // sentinel at once because only one window index lacks an extension.)
-  auto& order = scratch.order;
-  order.resize(count_lo);
-  for (std::size_t i = 0; i < count_lo; ++i) {
-    order[i] = {series[i], static_cast<std::uint32_t>(i)};
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  scratch.vals.resize(count_lo);
-  scratch.idxs.resize(count_lo);
+  // register-tiled: the later components of the ordered templates are
+  // packed into lane-contiguous arrays once per call, so the inner tile is
+  // all unit-stride loads.  level k of `next` holds series[idx + k]; the
+  // extension level m stores +inf for the one window-start index >=
+  // count_hi, which fails !(|a - b| > r) against any finite anchor — the
+  // max(i, j) < count_hi guard folded into data.  (The anchor side uses the
+  // same sentinel; both operands can never be the sentinel at once because
+  // only one window index lacks an extension.)
   scratch.next.resize(m * count_lo);
-  double* vals = scratch.vals.data();
-  std::uint32_t* idxs = scratch.idxs.data();
   double* next = scratch.next.data();
-  for (std::size_t b = 0; b < count_lo; ++b) {
-    vals[b] = order[b].first;
-    idxs[b] = order[b].second;
-  }
   for (std::size_t k = 1; k < m; ++k) {
     double* level = next + (k - 1) * count_lo;
     for (std::size_t b = 0; b < count_lo; ++b) level[b] = series[idxs[b] + k];
@@ -956,6 +950,32 @@ void apen_match_counts(std::span<const double> series, std::size_t m,
     matches_lo[idxs[b]] += lo_by_pos[b];
     if (idxs[b] < count_hi) matches_hi[idxs[b]] += hi_by_pos[b];
   }
+}
+
+void apen_match_counts(std::span<const double> series, std::size_t m,
+                       double r, std::span<std::uint32_t> matches_lo,
+                       std::span<std::uint32_t> matches_hi,
+                       ApEnScratch& scratch) {
+  if (g_force_scalar || m == 0) {
+    apen_match_counts_scalar(series, m, r, matches_lo, matches_hi, scratch);
+    return;
+  }
+  const std::size_t count_lo = matches_lo.size();
+  auto& order = scratch.order;
+  order.resize(count_lo);
+  for (std::size_t i = 0; i < count_lo; ++i) {
+    order[i] = {series[i], static_cast<std::uint32_t>(i)};
+  }
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  scratch.vals.resize(count_lo);
+  scratch.idxs.resize(count_lo);
+  for (std::size_t b = 0; b < count_lo; ++b) {
+    scratch.vals[b] = order[b].first;
+    scratch.idxs[b] = order[b].second;
+  }
+  apen_match_counts_ordered(series, m, r, scratch.vals, scratch.idxs,
+                            matches_lo, matches_hi, scratch);
 }
 
 }  // namespace prodigy::features::kernels

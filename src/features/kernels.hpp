@@ -183,10 +183,12 @@ std::size_t count_flag_bits_scalar(std::span<const std::uint8_t> flags,
 
 /// Reused lane buffers for the sweep (thread_local at the call site).
 struct ApEnScratch {
+  // The sorting entry point's dim-1 order: (value, index) pairs, then the
+  // sorted first components and their template indices, lane-contiguous.
   std::vector<std::pair<double, std::uint32_t>> order;
-  util::AlignedVec<double> vals;  // sorted first components, lane-contiguous
-  util::AlignedVec<double> next;  // level-major: series[idx + k], k = 1..m
+  util::AlignedVec<double> vals;
   std::vector<std::uint32_t> idxs;
+  util::AlignedVec<double> next;  // level-major: series[idx + k], k = 1..m
   util::AlignedVec<std::uint32_t> mask;       // per-diagonal dim-m matches
   util::AlignedVec<std::uint32_t> maskh;      // per-diagonal dim-(m+1)
   util::AlignedVec<std::uint32_t> lo_by_pos;  // deferred counts, sort order
@@ -203,11 +205,27 @@ struct ApEnScratch {
 /// non-finite r before sweeping, which also keeps NaN out of the sort).
 /// matches_lo.size() must be series.size() - m + 1 and matches_hi.size()
 /// one less.  Counts are integers, so the SIMD lane sweep is bit-identical
-/// to the scalar run scan.
+/// to the scalar run scan.  Sorts the templates by first component
+/// (std::sort), then runs the sweep apen_match_counts_ordered runs.
 void apen_match_counts(std::span<const double> series, std::size_t m,
                        double r, std::span<std::uint32_t> matches_lo,
                        std::span<std::uint32_t> matches_hi,
                        ApEnScratch& scratch);
+/// The same counts from a caller-supplied dim-1 order: order_values
+/// ascending, order_index[b] the template whose first component is
+/// order_values[b] (== series[order_index[b]]), every template
+/// [0, matches_lo.size()) exactly once.  Ties may come in any order — each
+/// unordered pair is still visited once and the counts are integers, so
+/// the result equals apen_match_counts.  Throws std::invalid_argument when
+/// either order span's length differs from matches_lo.size().  Under
+/// force_scalar (and for m == 0) the order is ignored and the scalar oracle
+/// runs.
+void apen_match_counts_ordered(std::span<const double> series, std::size_t m,
+                               double r, std::span<const double> order_values,
+                               std::span<const std::uint32_t> order_index,
+                               std::span<std::uint32_t> matches_lo,
+                               std::span<std::uint32_t> matches_hi,
+                               ApEnScratch& scratch);
 void apen_match_counts_scalar(std::span<const double> series, std::size_t m,
                               double r, std::span<std::uint32_t> matches_lo,
                               std::span<std::uint32_t> matches_hi,

@@ -232,7 +232,13 @@ GroupBuilder build_groups() {
         {"approximate_entropy_m2_r02", "binned_entropy_10",
          "benford_correlation"},
         [](const SeriesProfile& p, double* out) {
-          out[0] = approximate_entropy(p.xs, 2, 0.2);
+          // The incremental engine supplies the template order from its
+          // carried sorted window; the batch path sorts.
+          out[0] = p.rolling && p.rolling->has_apen_order
+                       ? approximate_entropy(p.xs, kApEnDim, 0.2,
+                                             p.rolling->apen_values,
+                                             p.rolling->apen_index)
+                       : approximate_entropy(p.xs, kApEnDim, 0.2);
           // Clean windows take the sorted-search variant (bit-identical
           // counts); NaN/inf windows keep the historical scatter scan.
           out[1] = p.n == 0 ? 0.0

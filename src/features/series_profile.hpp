@@ -17,6 +17,7 @@
 #include "util/aligned.hpp"
 
 #include <complex>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -29,15 +30,29 @@ inline constexpr std::size_t kPeakSupports[] = {1, 3, 5};
 inline constexpr std::size_t kPeakSupportCount =
     sizeof(kPeakSupports) / sizeof(kPeakSupports[0]);
 
+/// Embedding dimension of the `entropy` group's approximate entropy.
+/// Shared with the incremental engine, which builds that call's template
+/// order (see RollingStats::apen_values).
+inline constexpr std::size_t kApEnDim = 2;
+
 /// Window statistics the incremental engine carries as integer counts
-/// (peak flags, Benford first-digit histogram).  Integer counts slide
-/// bit-exactly, so the values here equal the batch extractors' output and
-/// the registry can skip the O(n) rescans.  Null on the batch path.
+/// (peak flags, Benford first-digit histogram) or reads off its carried
+/// sorted order (approximate entropy's template order).  Integer counts
+/// slide bit-exactly, so the values here equal the batch extractors' output
+/// and the registry can skip the O(n) rescans and the sort.  Null on the
+/// batch path.
 struct RollingStats {
   bool has_peaks = false;
   double peaks[kPeakSupportCount] = {};  // number_peaks(xs, support)
   bool has_benford = false;
   double benford = 0.0;                  // benford_correlation(xs)
+  /// Dim-1 template order for approximate_entropy(xs, kApEnDim, ...) over
+  /// its subsampled series s: the values s[i] of the first
+  /// s.size() - kApEnDim + 1 positions in ascending order, apen_index the
+  /// matching i.
+  bool has_apen_order = false;
+  std::span<const double> apen_values;
+  std::span<const std::uint32_t> apen_index;
 };
 
 /// Reusable per-thread buffers for profile construction.  Hot callers
@@ -50,6 +65,9 @@ struct FeatureScratch {
   util::AlignedVec<double> sorted;             // sorted copy of the series
   util::AlignedVec<std::complex<double>> fft;  // FFT work buffer
   util::AlignedVec<double> power;              // one-sided power spectrum
+  // Approximate entropy's template order (incremental engine only).
+  util::AlignedVec<double> apen_values;
+  std::vector<std::uint32_t> apen_index;
 };
 
 /// Everything the grouped extractors share, computed in a handful of passes
@@ -96,8 +114,8 @@ struct SeriesProfile {
   SpectralSummary spectral;
   LinearTrendResult trend;
 
-  /// Set by the incremental engine when its rolling integer counts cover
-  /// this window; batch-built profiles leave it null.
+  /// Set by the incremental engine when its carried state covers this
+  /// window; batch-built profiles leave it null.
   const RollingStats* rolling = nullptr;
 };
 

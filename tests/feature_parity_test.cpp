@@ -459,6 +459,66 @@ TEST(FeatureKernelTest, ApEnMatchCountsMatchScalar) {
   }
 }
 
+TEST(FeatureKernelTest, ApEnOrderedMatchesScalar) {
+  // The caller-ordered entry point (the incremental engine's path) must
+  // give the scalar oracle's counts for any valid dim-1 order: std::sort's,
+  // and the same order with every run of equal values reversed (ties carry
+  // no order the counts could depend on).
+  kernels::ApEnScratch scratch;
+  kernels::ApEnScratch scratch_s;
+  for (const std::size_t n : sweep_lengths()) {
+    for (const auto& xs : sweep_datasets(n, /*include_nonfinite=*/false)) {
+      for (const std::size_t m : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{3}}) {
+        if (n < m + 2) continue;
+        const double r = 0.2 * tensor::stddev(xs);
+        const std::size_t count_lo = n - m + 1;
+        std::vector<std::uint32_t> lo_s(count_lo, 1), hi_s(count_lo - 1, 1);
+        kernels::apen_match_counts_scalar(xs, m, r, lo_s, hi_s, scratch_s);
+
+        std::vector<std::pair<double, std::uint32_t>> order(count_lo);
+        for (std::size_t i = 0; i < count_lo; ++i) {
+          order[i] = {xs[i], static_cast<std::uint32_t>(i)};
+        }
+        std::sort(order.begin(), order.end(),
+                  [](const auto& a, const auto& b) { return a.first < b.first; });
+        auto reversed_ties = order;
+        for (std::size_t a = 0; a < count_lo;) {
+          std::size_t b = a + 1;
+          while (b < count_lo && reversed_ties[b].first == reversed_ties[a].first) {
+            ++b;
+          }
+          std::reverse(reversed_ties.begin() + static_cast<std::ptrdiff_t>(a),
+                       reversed_ties.begin() + static_cast<std::ptrdiff_t>(b));
+          a = b;
+        }
+        for (const auto* ord : {&order, &reversed_ties}) {
+          std::vector<double> values(count_lo);
+          std::vector<std::uint32_t> index(count_lo);
+          for (std::size_t b = 0; b < count_lo; ++b) {
+            values[b] = (*ord)[b].first;
+            index[b] = (*ord)[b].second;
+          }
+          std::vector<std::uint32_t> lo(count_lo, 1), hi(count_lo - 1, 1);
+          kernels::apen_match_counts_ordered(xs, m, r, values, index, lo, hi,
+                                             scratch);
+          const char* which = ord == &order ? "sorted" : "ties reversed";
+          EXPECT_EQ(lo, lo_s) << "n=" << n << " m=" << m << " " << which;
+          EXPECT_EQ(hi, hi_s) << "n=" << n << " m=" << m << " " << which;
+        }
+      }
+    }
+  }
+  // A wrong-length order is refused rather than read out of bounds.
+  const auto xs = series_random(32, 3);
+  std::vector<std::uint32_t> lo(31, 1), hi(30, 1);
+  const std::vector<double> values(30, 0.0);
+  const std::vector<std::uint32_t> index(30, 0);
+  EXPECT_THROW(kernels::apen_match_counts_ordered(xs, 2, 0.1, values, index,
+                                                  lo, hi, scratch),
+               std::invalid_argument);
+}
+
 TEST(FeatureKernelTest, BinnedEntropySortedMatchesScan) {
   // The sorted-path replacement must agree exactly with the historical
   // O(n) scan whenever the profile routes to it (finite data, finite

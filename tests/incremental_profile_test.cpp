@@ -31,53 +31,113 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 // ---------------------------------------------------------------------------
 // SortedWindow
 
+/// Checks a SortedWindow against the live rows [start, end) of `history`
+/// (history[i] is the value pushed for row first_row + i): the values equal
+/// std::sort of the live values, the rows are a permutation of the live
+/// rows, and every value is bit-for-bit the one pushed for its row.
+void expect_window_matches(const SortedWindow& window,
+                           const std::vector<double>& history,
+                           std::uint64_t first_row, std::uint64_t start,
+                           std::uint64_t end) {
+  ASSERT_EQ(window.size(), end - start);
+  const auto values = window.values();
+  const auto rows = window.rows();
+  ASSERT_EQ(rows.size(), values.size());
+
+  std::vector<double> want(history.begin() + (start - first_row),
+                           history.begin() + (end - first_row));
+  std::sort(want.begin(), want.end());
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(values[k], want[k]) << "rank " << k;
+  }
+
+  // Rows are the low 32 bits of the global row: compare their offsets from
+  // the window start, which recover the full row.
+  const auto s32 = static_cast<std::uint32_t>(start);
+  std::vector<std::uint32_t> offsets(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    offsets[k] = static_cast<std::uint32_t>(rows[k] - s32);
+  }
+  std::vector<std::uint32_t> sorted_offsets = offsets;
+  std::sort(sorted_offsets.begin(), sorted_offsets.end());
+  for (std::size_t k = 0; k < sorted_offsets.size(); ++k) {
+    ASSERT_EQ(sorted_offsets[k], k);
+  }
+
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const std::uint64_t row = start + offsets[k];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(values[k]),
+              std::bit_cast<std::uint64_t>(history[row - first_row]))
+        << "rank " << k << " row " << row;
+  }
+}
+
+/// Values that stress ordering: heavy duplicates, both signed zeros,
+/// subnormals, and magnitudes near the top of the double range.
+double hard_value(std::mt19937_64& rng) {
+  static constexpr double kPool[] = {
+      0.0, -0.0, 1.0, -1.0, 0.25, 0.25, 3.5, -3.5,
+      1e300, -1e300, std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min()};
+  std::normal_distribution<double> normal(0.0, 4.0);
+  if (rng() % 3 == 0) return normal(rng);
+  return kPool[rng() % std::size(kPool)];
+}
+
 TEST(SortedWindowTest, FuzzMatchesMultiset) {
   std::mt19937_64 rng(7);
-  // Small discrete value set so duplicates (the hard case for erase) are
-  // everywhere.
-  std::uniform_real_distribution<double> value(0.0, 8.0);
+  // Start just below 2^32 so the 32-bit rows wrap mid-run.
+  const std::uint64_t first_row = (std::uint64_t{1} << 32) - 3000;
+  std::vector<double> history;
   SortedWindow window;
-  std::multiset<double> oracle;
-  std::vector<double> pool;
-  util::AlignedVec<double> got;
-  for (int step = 0; step < 20000; ++step) {
-    const bool do_insert = oracle.empty() || (rng() % 3) != 0;
-    if (do_insert) {
-      const double v = std::floor(value(rng) * 4.0) / 4.0;
-      window.insert(v);
-      oracle.insert(v);
-      pool.push_back(v);
-    } else {
-      const std::size_t at = rng() % pool.size();
-      const double v = pool[at];
-      pool[at] = pool.back();
-      pool.pop_back();
-      ASSERT_TRUE(window.erase(v));
-      oracle.erase(oracle.find(v));
+  std::uint64_t start = first_row;
+  std::uint64_t end = first_row;
+  for (int step = 0; step < 4000; ++step) {
+    // A hop: push a burst (sometimes longer than the window, so some rows
+    // expire before they are ever merged), then slide the start.
+    const std::size_t burst = rng() % 8 == 0 ? rng() % 300 : rng() % 24;
+    for (std::size_t i = 0; i < burst; ++i) {
+      history.push_back(hard_value(rng));
+      window.push(history.back(), end++);
     }
-    ASSERT_EQ(window.size(), oracle.size());
-    if (step % 500 == 0) {
-      window.copy_sorted(got);
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), oracle.begin()));
-    }
+    const std::uint64_t width = 1 + rng() % 200;
+    start = std::max(start, end > width ? end - width : first_row);
+    window.advance(start);
+    expect_window_matches(window, history, first_row, start, end);
+    if (HasFatalFailure()) return;
   }
-  window.copy_sorted(got);
-  EXPECT_TRUE(std::equal(got.begin(), got.end(), oracle.begin()));
-  EXPECT_FALSE(window.erase(-1.0));  // absent value reports a miss
+  EXPECT_GT(end, std::uint64_t{1} << 32);  // the wrap was exercised
 }
 
 TEST(SortedWindowTest, RebuildAndCopyReproduceStdSort) {
   std::mt19937_64 rng(11);
-  std::normal_distribution<double> value(0.0, 3.0);
-  std::vector<double> data(513);
-  for (auto& v : data) v = value(rng);
+  std::vector<double> history(513);
+  for (auto& v : history) v = hard_value(rng);
+  const std::uint64_t first_row = 1000;
   SortedWindow window;
-  window.rebuild(data);
-  util::AlignedVec<double> got;
-  window.copy_sorted(got);
-  std::sort(data.begin(), data.end());
-  ASSERT_EQ(got.size(), data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) EXPECT_EQ(got[i], data[i]);
+  window.rebuild(history, first_row);
+  expect_window_matches(window, history, first_row, first_row,
+                        first_row + history.size());
+
+  // A rebuilt window carries forward like a merged one: queued rows are
+  // merged and expired rows drop, and a rebuild discards the queue.
+  std::uint64_t end = first_row + history.size();
+  for (int hop = 0; hop < 50; ++hop) {
+    for (int i = 0; i < 16; ++i) {
+      history.push_back(hard_value(rng));
+      window.push(history.back(), end++);
+    }
+    window.advance(end - 513);
+    expect_window_matches(window, history, first_row, end - 513, end);
+    if (HasFatalFailure()) return;
+  }
+  window.push(1.0, end);
+  window.rebuild(std::span(history).subspan(history.size() - 64), end - 64);
+  expect_window_matches(window, history, first_row, end - 64, end);
+  window.clear();
+  EXPECT_EQ(window.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -271,6 +331,42 @@ TEST(IncrementalParityTest, LargeWindowSlidingDft) {
   const auto data = make_replay(1024 + 80 * 16, 404);
   const auto result = run_parity_replay(data, config);
   EXPECT_GE(result.windows, 80u);
+}
+
+// Windows longer than approximate entropy's 256-point subsample whose
+// stride W / 256 is not an integer, so the window-position -> series-index
+// map that filters the carried order skips irregularly.
+TEST(IncrementalParityTest, SubsampledWindow257) {
+  IncrementalConfig config;
+  config.window = 257;
+  config.hop = 16;
+  const auto data = make_replay(257 + 90 * 16, 808);
+  const auto result = run_parity_replay(data, config);
+  EXPECT_GE(result.windows, 90u);
+}
+
+TEST(IncrementalParityTest, SubsampledWindow300) {
+  IncrementalConfig config;
+  config.window = 300;
+  config.hop = 7;
+  const auto data = make_replay(300 + 150 * 7, 909);
+  const auto result = run_parity_replay(data, config);
+  EXPECT_GE(result.windows, 150u);
+}
+
+TEST(IncrementalParityTest, SubsampledWindowNaNGaps) {
+  // NaN gaps at W=300: fallback windows, then the rebuild of the carried
+  // order at the first clean window after them.
+  IncrementalConfig config;
+  config.window = 300;
+  config.hop = 16;
+  auto data = make_replay(300 + 100 * 16, 1010);
+  for (std::size_t r = 450; r < 455; ++r) data.at(r, 0) = kNaN;
+  data.at(700, 1) = kNaN;
+  for (std::size_t r = 1200; r < 1203; ++r) data.at(r, 3) = kNaN;
+  const auto result = run_parity_replay(data, config);
+  EXPECT_GE(result.windows, 100u);
+  EXPECT_GT(result.stats.exact_fallbacks, 0u);
 }
 
 TEST(IncrementalParityTest, NaNRowsFallBackToExactWindows) {
