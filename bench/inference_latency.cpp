@@ -8,12 +8,6 @@
 // Set PRODIGY_METRICS_OUT=<path> to dump the process metrics registry
 // (stage histograms, thread-pool counters) after the benchmarks finish --
 // JSON when the path ends in .json, Prometheus text otherwise.
-//
-// `--f1-delta [--system Eclipse|Volta] [...dataset/model flags]` switches to
-// the reduced-precision accuracy harness instead of running benchmarks: it
-// trains one Prodigy detector on the Tier-1 synthetic dataset and reports
-// tuned macro-F1 under the full / bf16 / int8 fused inference plans as a
-// markdown table (the numbers quoted in EXPERIMENTS.md).
 #include "bench_common.hpp"
 
 #include "pipeline/preprocess.hpp"
@@ -22,10 +16,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace {
 
@@ -87,9 +79,8 @@ BENCHMARK(BM_Score)->Unit(benchmark::kMillisecond);
 /// The streaming-score hot shape: one 1024-feature row through the fused
 /// VAE inference plan (encoder 1024->64->24, mu head 24->8, decoder
 /// 8->24->64->1024 — the same architecture the stream scorer deploys).
-/// Mode 0 is the layer-by-layer oracle path; 1/2/3 are the packed plan at
-/// full / bf16 / int8 weight precision.  Untrained weights: latency only
-/// depends on the shapes.
+/// Mode 0 is the layer-by-layer oracle path; mode 1 is the packed plan.
+/// Untrained weights: latency only depends on the shapes.
 struct VaeLatencyFixture {
   VaeLatencyFixture() : vae(make_config()) {
     util::Rng rng(17);
@@ -117,23 +108,12 @@ VaeLatencyFixture& vae_fixture() {
   return instance;
 }
 
-constexpr const char* kPrecisionLabels[] = {"layerwise-fp64", "fused-fp64",
-                                            "fused-bf16", "fused-int8"};
-
-void set_precision(core::VariationalAutoencoder& vae, std::int64_t mode) {
-  switch (mode) {
-    case 1: vae.build_inference_plan(nn::PlanPrecision::Full); break;
-    case 2: vae.build_inference_plan(nn::PlanPrecision::Bf16); break;
-    case 3: vae.build_inference_plan(nn::PlanPrecision::Int8); break;
-    default: break;  // mode 0 bypasses the plan entirely
-  }
-}
+constexpr const char* kModeLabels[] = {"layerwise-fp64", "fused-fp64"};
 
 void BM_VaeScoreSingleRow(benchmark::State& state) {
   auto& f = vae_fixture();
   const auto mode = state.range(0);
-  set_precision(f.vae, mode);
-  state.SetLabel(kPrecisionLabels[mode]);
+  state.SetLabel(kModeLabels[mode]);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         mode == 0 ? f.vae.reconstruction_error_layerwise(f.row)
@@ -141,13 +121,12 @@ void BM_VaeScoreSingleRow(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_VaeScoreSingleRow)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VaeScoreSingleRow)->DenseRange(0, 1)->Unit(benchmark::kMicrosecond);
 
 void BM_VaeScoreBatch64(benchmark::State& state) {
   auto& f = vae_fixture();
   const auto mode = state.range(0);
-  set_precision(f.vae, mode);
-  state.SetLabel(kPrecisionLabels[mode]);
+  state.SetLabel(kModeLabels[mode]);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         mode == 0 ? f.vae.reconstruction_error_layerwise(f.batch)
@@ -155,46 +134,7 @@ void BM_VaeScoreBatch64(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
-BENCHMARK(BM_VaeScoreBatch64)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
-
-/// `--f1-delta`: the reduced-precision accuracy gate on the Tier-1 synthetic
-/// evaluation.  Fits once at fp64, then re-tunes the threshold and measures
-/// macro-F1 under each plan precision.
-int run_f1_delta(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
-  const auto system = flags.get("system", std::string("Eclipse"));
-  auto dataset =
-      bench::build_system_dataset(system, bench::dataset_options_from_flags(flags));
-  const auto model_options = bench::model_options_from_flags(flags);
-
-  // Same preprocessing as the eval harness (crossval.cpp): min-max scale the
-  // selected features before training — raw feature magnitudes overflow the
-  // VAE to Inf/NaN scores.
-  pipeline::Scaler scaler(pipeline::ScalerKind::MinMax);
-  dataset.X = scaler.fit_transform(dataset.X);
-
-  core::ProdigyDetector detector(bench::prodigy_config(model_options));
-  util::Timer fit_timer;
-  detector.fit(dataset.X, dataset.labels);
-  std::printf("# fit %zu samples x %zu features in %.1fs\n", dataset.size(),
-              dataset.X.cols(), fit_timer.elapsed_seconds());
-
-  struct Row { const char* name; nn::PlanPrecision precision; };
-  const Row rows[] = {{"full (fp64)", nn::PlanPrecision::Full},
-                      {"bf16", nn::PlanPrecision::Bf16},
-                      {"int8", nn::PlanPrecision::Int8}};
-  double f1_full = 0.0;
-  std::printf("\n| precision | tuned macro-F1 | delta vs full |\n");
-  std::printf("|---|---|---|\n");
-  for (const auto& row : rows) {
-    detector.set_inference_precision(row.precision);
-    const double f1 = detector.tune_threshold(dataset.X, dataset.labels);
-    if (row.precision == nn::PlanPrecision::Full) f1_full = f1;
-    std::printf("| %s | %.4f | %+.4f |\n", row.name, f1, f1 - f1_full);
-  }
-  detector.set_inference_precision(nn::PlanPrecision::Full);
-  return 0;
-}
+BENCHMARK(BM_VaeScoreBatch64)->DenseRange(0, 1)->Unit(benchmark::kMicrosecond);
 
 /// Preprocessing one node's raw frame (interpolate + diff + trim).
 void BM_PreprocessNode(benchmark::State& state) {
@@ -230,9 +170,6 @@ BENCHMARK(BM_ExtractNodeFeatures)->Arg(300)->Arg(1200)->Unit(benchmark::kMillise
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--f1-delta") == 0) return run_f1_delta(argc, argv);
-  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -16,7 +16,6 @@
 #include "stream/event_bus.hpp"
 #include "stream/ingestor.hpp"
 #include "stream/online_scorer.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
 
@@ -75,7 +74,6 @@ struct PassConfig {
   std::size_t hop;
   stream::BackpressurePolicy policy;
   std::size_t queue_capacity;
-  stream::ExtractionMode extraction = stream::ExtractionMode::kIncremental;
 };
 
 struct PassResult {
@@ -99,7 +97,6 @@ PassResult run_pass(const core::ModelBundle& bundle,
   stream::OnlineScorerConfig scorer_config;
   scorer_config.window = pass.window;
   scorer_config.hop = pass.hop;
-  scorer_config.extraction = pass.extraction;
   stream::OnlineScorer scorer(bundle, bus, scorer_config);
   stream::IngestorConfig ingest_config;
   ingest_config.policy = pass.policy;
@@ -207,65 +204,6 @@ int main(int argc, char** argv) {
       std::printf("- | - | ");
     }
     std::printf("%llu |\n", static_cast<unsigned long long>(result.drops));
-  }
-
-  // --- Deep-window extraction comparison: the incremental engine's target
-  // shape (W=1024, H=16).  At 1 Hz a 1024-sample window needs a run longer
-  // than the firehose workload above, so this section replays a smaller,
-  // longer job and scores it through both extraction modes.
-  const auto deep_nodes = flags.get("deep-nodes", static_cast<std::size_t>(8));
-  const double deep_duration = flags.get("deep-duration", 2048.0);
-  std::vector<std::size_t> deep_bad;
-  for (std::size_t n = 0; n < deep_nodes; n += 2) deep_bad.push_back(n);
-  const auto deep_workload = batches_from_run(
-      make_job(9002, deep_nodes, deep_duration, memleak, deep_bad));
-  std::printf("\n## deep-window extraction modes (%zu ticks x %zu nodes, "
-              "W=1024 H=16)\n\n",
-              deep_workload.size(), deep_nodes);
-  std::printf("| extraction | samples/s | windows | score p50 (ms) | "
-              "score p99 (ms) |\n");
-  std::printf("|---|---|---|---|---|\n");
-  const PassConfig deep_passes[] = {
-      {"full-recompute", 1024, 16, stream::BackpressurePolicy::Block, 256,
-       stream::ExtractionMode::kFullRecompute},
-      {"incremental", 1024, 16, stream::BackpressurePolicy::Block, 256,
-       stream::ExtractionMode::kIncremental},
-  };
-  auto& registry = util::MetricsRegistry::global();
-  double deep_p50[2] = {0.0, 0.0};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const double windows_before =
-        registry.counter("prodigy_features_incremental_windows_total").value();
-    const double fallbacks_before =
-        registry.counter("prodigy_features_incremental_exact_fallbacks_total")
-            .value();
-    const PassResult result = run_pass(bundle, deep_workload, deep_passes[i]);
-    deep_p50[i] = result.p50_ms;
-    std::printf("| %s | %.0f | %llu | %.3f | %.3f |\n", deep_passes[i].label,
-                result.samples_per_sec,
-                static_cast<unsigned long long>(result.windows), result.p50_ms,
-                result.p99_ms);
-    // windows_total counts node-windows; fallbacks count metric-windows, so
-    // the honest rate divides by windows x metrics-per-node.
-    const double node_windows =
-        registry.counter("prodigy_features_incremental_windows_total").value() -
-        windows_before;
-    const double metric_windows =
-        node_windows * static_cast<double>(telemetry::metric_count());
-    if (metric_windows > 0) {
-      const double fallbacks =
-          registry.counter("prodigy_features_incremental_exact_fallbacks_total")
-              .value() -
-          fallbacks_before;
-      std::printf("# incremental: %.0f node-windows (%.0f metric-windows), "
-                  "%.0f exact fallbacks (%.2f%% of metric-windows)\n",
-                  node_windows, metric_windows, fallbacks,
-                  100.0 * fallbacks / metric_windows);
-    }
-  }
-  if (deep_p50[1] > 0.0) {
-    std::printf("\n# incremental p50 speedup over full recompute: %.1fx\n",
-                deep_p50[0] / deep_p50[1]);
   }
   return 0;
 }

@@ -97,14 +97,6 @@ ProdigyDetector::UnsupervisedFitReport ProdigyDetector::fit_unsupervised(
   return report;
 }
 
-void ProdigyDetector::set_inference_precision(nn::PlanPrecision precision) {
-  if (!model_) {
-    throw std::logic_error(
-        "ProdigyDetector::set_inference_precision before fit/load");
-  }
-  model_->build_inference_plan(precision);
-}
-
 std::vector<double> ProdigyDetector::score(const tensor::Matrix& X) const {
   if (!model_) throw std::logic_error("ProdigyDetector::score before fit");
   util::StageTimer stage("core.prodigy_detector.score");

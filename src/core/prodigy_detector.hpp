@@ -73,16 +73,6 @@ class ProdigyDetector final : public Detector {
     tune_threshold(X, labels);
   }
 
-  /// Rebuilds the VAE's fused inference plan at the given precision.
-  /// PlanPrecision::Full (the default) is bit-identical to the layerwise
-  /// oracle; Bf16/Int8 are the opt-in reduced-precision modes gated by the
-  /// F1-delta harness (bench/inference_latency --f1-delta).  Requires a
-  /// fitted or loaded model (throws std::logic_error otherwise).
-  void set_inference_precision(nn::PlanPrecision precision);
-  nn::PlanPrecision inference_precision() const noexcept {
-    return model_ ? model_->inference_precision() : nn::PlanPrecision::Full;
-  }
-
   const VariationalAutoencoder& vae() const { return model_.value(); }
   const nn::TrainHistory& history() const noexcept { return history_; }
   const ProdigyConfig& config() const noexcept { return config_; }

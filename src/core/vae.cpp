@@ -67,13 +67,13 @@ VariationalAutoencoder::VariationalAutoencoder(const VaeConfig& config)
   specs.push_back({config.input_dim, nn::Activation::Linear});
   decoder_ = nn::Mlp(config.latent_dim, specs, rng);
 
-  build_inference_plan(nn::PlanPrecision::Full);
+  build_inference_plan();
 }
 
-void VariationalAutoencoder::build_inference_plan(nn::PlanPrecision precision) {
+void VariationalAutoencoder::build_inference_plan() {
   nn::InferencePlan::Builder builder;
   builder.add(encoder_).add(mu_head_).add(decoder_);
-  plan_ = std::make_shared<const nn::InferencePlan>(builder.build(precision));
+  plan_ = std::make_shared<const nn::InferencePlan>(builder.build());
 }
 
 std::size_t VariationalAutoencoder::parameter_count() const noexcept {
@@ -222,9 +222,8 @@ nn::TrainHistory VariationalAutoencoder::fit(const tensor::Matrix& X,
       util::log_info("VAE epoch ", epoch, " loss ", epoch_loss);
     }
   }
-  // Repack the fused plan from the trained weights, keeping whatever
-  // precision the caller had opted into.
-  build_inference_plan(inference_precision());
+  // Repack the fused plan from the trained weights.
+  build_inference_plan();
   return history;
 }
 
@@ -378,7 +377,7 @@ VariationalAutoencoder VariationalAutoencoder::load(util::BinaryReader& reader) 
         "decoder output dim " + std::to_string(vae.decoder_.output_dim()) +
             " != input_dim " + std::to_string(cfg.input_dim));
 
-  vae.build_inference_plan(nn::PlanPrecision::Full);
+  vae.build_inference_plan();
   return vae;
 }
 

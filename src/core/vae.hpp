@@ -48,21 +48,13 @@ class VariationalAutoencoder {
 
   /// Per-sample mean absolute reconstruction error (the paper's anomaly
   /// score, §3.3-3.4).  Runs through the fused encoder→mu→decoder
-  /// InferencePlan; at PlanPrecision::Full the result is bit-identical to
-  /// reconstruction_error_layerwise().
+  /// InferencePlan, bit-identical to reconstruction_error_layerwise().
   std::vector<double> reconstruction_error(const tensor::Matrix& X) const;
 
   /// The original layer-by-layer scoring path, kept as the bit-exactness
   /// oracle for the fused plan (parity-tested with EXPECT_EQ).
   std::vector<double> reconstruction_error_layerwise(const tensor::Matrix& X) const;
 
-  /// Rebuilds the fused inference plan at the given precision.  Full is the
-  /// default everywhere; Bf16/Int8 are the opt-in reduced-precision modes
-  /// (see docs/performance.md for the accuracy gate).
-  void build_inference_plan(nn::PlanPrecision precision);
-  nn::PlanPrecision inference_precision() const noexcept {
-    return plan_ ? plan_->precision() : nn::PlanPrecision::Full;
-  }
   /// The active fused plan (never null after construction/fit/load).
   std::shared_ptr<const nn::InferencePlan> inference_plan() const noexcept {
     return plan_;
@@ -91,6 +83,8 @@ class VariationalAutoencoder {
   };
   /// One optimization step over a batch; gradients accumulate into layers.
   StepResult forward_backward(const tensor::Matrix& x, util::Rng& rng);
+  /// Repacks the fused plan from the current parameters.
+  void build_inference_plan();
 
   VaeConfig config_;
   nn::Mlp encoder_;        // input -> last hidden

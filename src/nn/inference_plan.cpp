@@ -1,10 +1,8 @@
-// This translation unit carries the Full-precision fused sweep and is
-// compiled with -ffp-contract=off (see src/CMakeLists.txt), exactly like
-// tensor/kernels.cpp: every output element must be the same pure ascending-k
-// mul-then-add sum the layerwise Dense path commits, so fused-vs-layerwise
-// EXPECT_EQ parity cannot depend on whether the compiler fused an FMA in one
-// loop body and not the other.  The reduced-precision sweeps live in
-// inference_plan_quant.cpp, which has no such contract.
+// This translation unit is compiled with -ffp-contract=off (see
+// src/CMakeLists.txt), exactly like tensor/kernels.cpp: every output element
+// must be the same pure ascending-k mul-then-add sum the layerwise Dense path
+// commits, so fused-vs-layerwise EXPECT_EQ parity cannot depend on whether
+// the compiler fused an FMA in one loop body and not the other.
 #include "nn/inference_plan.hpp"
 
 #include "nn/mlp.hpp"
@@ -14,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #if defined(PRODIGY_NO_SIMD)
 #define PRODIGY_SIMD
@@ -71,26 +70,6 @@ double* tile_scratch(std::size_t doubles) {
 
 }  // namespace
 
-std::string to_string(PlanPrecision precision) {
-  switch (precision) {
-    case PlanPrecision::Full:
-      return "full";
-    case PlanPrecision::Bf16:
-      return "bf16";
-    case PlanPrecision::Int8:
-      return "int8";
-  }
-  return "full";
-}
-
-PlanPrecision plan_precision_from_string(const std::string& name) {
-  if (name == "full" || name == "fp64") return PlanPrecision::Full;
-  if (name == "bf16") return PlanPrecision::Bf16;
-  if (name == "int8") return PlanPrecision::Int8;
-  throw std::invalid_argument("unknown inference precision '" + name +
-                              "' (expected full, bf16, or int8)");
-}
-
 InferencePlan::Builder& InferencePlan::Builder::add(const Dense& layer) {
   if (layer.in_features() == 0 || layer.out_features() == 0) {
     throw std::invalid_argument(
@@ -115,104 +94,33 @@ InferencePlan::Builder& InferencePlan::Builder::add(const Mlp& mlp) {
   return *this;
 }
 
-InferencePlan InferencePlan::Builder::build(PlanPrecision precision) const {
+InferencePlan InferencePlan::Builder::build() const {
   if (layers_.empty()) {
     throw std::invalid_argument("InferencePlan::Builder: no layers added");
   }
   InferencePlan plan;
-  plan.precision_ = precision;
   plan.input_dim_ = layers_.front()->in_features();
   plan.output_dim_ = layers_.back()->out_features();
   plan.max_width_ = plan.input_dim_;
   plan.layers_.reserve(layers_.size());
 
-  std::size_t w_total = 0;
-  std::size_t b_total = 0;
+  // Weights then bias, contiguous per layer, one buffer for the chain.
   for (const Dense* dense : layers_) {
     Layer layer;
     layer.in = dense->in_features();
     layer.out = dense->out_features();
     layer.act = dense->activation();
-    if (precision == PlanPrecision::Full) {
-      // Weights then bias, contiguous per layer, one buffer for the chain.
-      layer.w_off = w_total + b_total;
-      layer.b_off = layer.w_off + layer.in * layer.out;
-    } else {
-      layer.w_off = w_total;
-      layer.b_off = b_total;
-    }
-    w_total += layer.in * layer.out;
-    b_total += layer.out;
+    const double* weights = dense->weights().data();
+    const double* bias = dense->bias().data();
+    layer.w_off = plan.packed_.size();
+    plan.packed_.insert(plan.packed_.end(), weights,
+                        weights + layer.in * layer.out);
+    layer.b_off = plan.packed_.size();
+    plan.packed_.insert(plan.packed_.end(), bias, bias + layer.out);
     plan.max_width_ = std::max(plan.max_width_, layer.out);
     plan.layers_.push_back(layer);
   }
-
-  switch (precision) {
-    case PlanPrecision::Full: {
-      plan.packed_.resize(w_total + b_total);
-      for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const Dense& dense = *layers_[l];
-        const Layer& layer = plan.layers_[l];
-        std::copy_n(dense.weights().data(), layer.in * layer.out,
-                    plan.packed_.data() + layer.w_off);
-        std::copy_n(dense.bias().data(), layer.out,
-                    plan.packed_.data() + layer.b_off);
-      }
-      break;
-    }
-    case PlanPrecision::Bf16: {
-      plan.wq16_.resize(w_total);
-      plan.bias_f_.resize(b_total);
-      for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const Dense& dense = *layers_[l];
-        const Layer& layer = plan.layers_[l];
-        const double* w = dense.weights().data();
-        std::uint16_t* dst = plan.wq16_.data() + layer.w_off;
-        for (std::size_t i = 0; i < layer.in * layer.out; ++i) {
-          dst[i] = bf16_from_double(w[i]);
-        }
-        for (std::size_t j = 0; j < layer.out; ++j) {
-          plan.bias_f_[layer.b_off + j] = static_cast<float>(dense.bias()[j]);
-        }
-      }
-      break;
-    }
-    case PlanPrecision::Int8: {
-      plan.wq8_.resize(w_total);
-      plan.bias_f_.resize(b_total);
-      plan.scales_.resize(b_total);
-      for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const Dense& dense = *layers_[l];
-        const Layer& layer = plan.layers_[l];
-        const double* w = dense.weights().data();
-        std::int8_t* dst = plan.wq8_.data() + layer.w_off;
-        for (std::size_t j = 0; j < layer.out; ++j) {
-          // Symmetric per-output-column scale: amax / 127.
-          double amax = 0.0;
-          for (std::size_t k = 0; k < layer.in; ++k) {
-            const double v = std::abs(w[k * layer.out + j]);
-            if (std::isfinite(v) && v > amax) amax = v;
-          }
-          const double scale = amax > 0.0 ? amax / 127.0 : 1.0;
-          for (std::size_t k = 0; k < layer.in; ++k) {
-            const double q = std::nearbyint(w[k * layer.out + j] / scale);
-            dst[k * layer.out + j] = static_cast<std::int8_t>(
-                std::clamp(q, -127.0, 127.0));
-          }
-          plan.scales_[layer.b_off + j] = static_cast<float>(scale);
-          plan.bias_f_[layer.b_off + j] = static_cast<float>(dense.bias()[j]);
-        }
-      }
-      break;
-    }
-  }
   return plan;
-}
-
-std::size_t InferencePlan::packed_bytes() const noexcept {
-  return packed_.size() * sizeof(double) + wq16_.size() * sizeof(std::uint16_t) +
-         wq8_.size() * sizeof(std::int8_t) + bias_f_.size() * sizeof(float) +
-         scales_.size() * sizeof(float);
 }
 
 // Fused m == 1 streaming sweep: every layer's output element is the pure
@@ -222,7 +130,7 @@ std::size_t InferencePlan::packed_bytes() const noexcept {
 // accumulators live in a chunk-local stack buffer: the compiler can prove it
 // never aliases the weight stream (a heap destination would force reload
 // checks inside the axpy), and a chunk stays L1-resident for wide layers.
-void InferencePlan::run_single_row_full(const double* x, double* out) const {
+void InferencePlan::run_single_row(const double* x, double* out) const {
   constexpr std::size_t kChunk = 256;
   double* scratch = tile_scratch(2 * max_width_);
   double* ping = scratch;
@@ -274,10 +182,10 @@ void InferencePlan::run_single_row_full(const double* x, double* out) const {
 // One tile of up to kTileRows rows through the whole chain.  Each layer is a
 // raw NN GEMM over the packed weights with the fused bias+activation
 // epilogue; intermediates ping-pong between the two tile halves.
-void InferencePlan::run_rows_full(const double* x, std::size_t rows,
-                                  double* out, util::ThreadPool* pool) const {
+void InferencePlan::run_rows(const double* x, std::size_t rows, double* out,
+                             util::ThreadPool* pool) const {
   if (rows == 1) {
-    run_single_row_full(x, out);
+    run_single_row(x, out);
     return;
   }
   double* scratch = tile_scratch(2 * kTileRows * max_width_);
@@ -331,20 +239,10 @@ void InferencePlan::run(const tensor::Matrix& x, tensor::Matrix& out,
     const std::size_t m = std::min(kTileRows, rows - r0);
     const double* in = src->data() + r0 * input_dim_;
     double* dst = out.data() + r0 * output_dim_;
-    switch (precision_) {
-      case PlanPrecision::Full:
-        // Inside a tile fan-out each task must stay single-threaded-in: the
-        // nested gemm still receives the pool, but parallel_for runs nested
-        // ranges inline on workers, and bits are pool-size-invariant anyway.
-        run_rows_full(in, m, dst, &tp);
-        break;
-      case PlanPrecision::Bf16:
-        detail::run_rows_bf16(*this, in, m, dst);
-        break;
-      case PlanPrecision::Int8:
-        detail::run_rows_int8(*this, in, m, dst);
-        break;
-    }
+    // Inside a tile fan-out each task must stay single-threaded-in: the
+    // nested gemm still receives the pool, but parallel_for runs nested
+    // ranges inline on workers, and bits are pool-size-invariant anyway.
+    run_rows(in, m, dst, &tp);
   };
   if (tiles <= 1 || tp.size() <= 1) {
     for (std::size_t t = 0; t < tiles; ++t) run_tile(t);

@@ -6,32 +6,19 @@
 // in a fixed per-thread tile (two ping-pong halves sized tile_rows x
 // max_width) and never touch the heap after warmup.
 //
-// Precision modes:
-//  - PlanPrecision::Full  — double weights, the default.  Bit-identical
-//    (EXPECT_EQ) to the layer-by-layer Dense/Mlp inference path: every output
-//    element is the same pure ascending-k mul-then-add sum the tensor kernel
-//    library commits (this translation unit is compiled with
-//    -ffp-contract=off exactly like tensor/kernels.cpp), so fused vs
-//    layerwise, any batch height, and any thread-pool size all round
-//    identically.  The m == 1 streaming shape takes a dedicated fused sweep
-//    with zero per-layer dispatch.
-//  - PlanPrecision::Bf16  — weights rounded to bfloat16 (stored as uint16,
-//    expanded by a bit shift in the inner loop: 4x less weight traffic than
-//    double) with fp32 activations and accumulation.
-//  - PlanPrecision::Int8  — symmetric per-output-column int8 weight
-//    quantization (8x less weight traffic) with fp32 accumulation and a
-//    per-column dequantization scale fused into the bias epilogue.
-//  Reduced precision is opt-in (off by default everywhere) and gated by an
-//  accuracy harness reporting the Tier-1 F1 delta (see docs/performance.md
-//  and EXPERIMENTS.md).
+// The plan runs in double precision and is bit-identical (EXPECT_EQ) to the
+// layer-by-layer Dense/Mlp inference path: every output element is the same
+// pure ascending-k mul-then-add sum the tensor kernel library commits (this
+// translation unit is compiled with -ffp-contract=off exactly like
+// tensor/kernels.cpp), so fused vs layerwise, any batch height, and any
+// thread-pool size all round identically.  The m == 1 streaming shape takes
+// a dedicated fused sweep with zero per-layer dispatch.
 #pragma once
 
 #include "nn/dense.hpp"
 #include "tensor/matrix.hpp"
 
-#include <bit>
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace prodigy::util {
@@ -42,42 +29,8 @@ namespace prodigy::nn {
 
 class Mlp;
 
-enum class PlanPrecision { Full, Bf16, Int8 };
-
-std::string to_string(PlanPrecision precision);
-/// Accepts "full" (or "fp64"), "bf16", "int8"; throws std::invalid_argument.
-PlanPrecision plan_precision_from_string(const std::string& name);
-
-/// Round-to-nearest-even bfloat16 encoding of a double (via float), the
-/// emulation used by the Bf16 plan mode.  NaN stays a (quiet) NaN.
-inline std::uint16_t bf16_from_double(double value) {
-  const float f = static_cast<float>(value);
-  std::uint32_t bits = std::bit_cast<std::uint32_t>(f);
-  if ((bits & 0x7fffffffu) > 0x7f800000u) {
-    return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);
-  }
-  const std::uint32_t lsb = (bits >> 16) & 1u;
-  bits += 0x7fffu + lsb;
-  return static_cast<std::uint16_t>(bits >> 16);
-}
-
-inline float bf16_to_float(std::uint16_t value) {
-  return std::bit_cast<float>(static_cast<std::uint32_t>(value) << 16);
-}
-
 class InferencePlan {
  public:
-  /// One packed layer: `w_off` indexes the precision-specific weight array
-  /// (row-major in x out, exactly Dense's layout), `b_off` the bias array
-  /// (packed_ for Full, quant_bias()/quant_scales() for Bf16/Int8).
-  struct Layer {
-    std::size_t in = 0;
-    std::size_t out = 0;
-    Activation act = Activation::Linear;
-    std::size_t w_off = 0;
-    std::size_t b_off = 0;
-  };
-
   /// Collects the layer chain, validating that consecutive dimensions line
   /// up, then packs the weights.  The referenced layers only need to stay
   /// alive until build() — the plan owns copies of every parameter.
@@ -88,7 +41,7 @@ class InferencePlan {
     /// Appends every layer of an Mlp in order.
     Builder& add(const Mlp& mlp);
 
-    InferencePlan build(PlanPrecision precision = PlanPrecision::Full) const;
+    InferencePlan build() const;
 
    private:
     std::vector<const Dense*> layers_;
@@ -100,9 +53,6 @@ class InferencePlan {
   std::size_t input_dim() const noexcept { return input_dim_; }
   std::size_t output_dim() const noexcept { return output_dim_; }
   std::size_t layer_count() const noexcept { return layers_.size(); }
-  PlanPrecision precision() const noexcept { return precision_; }
-  /// Bytes of packed parameters (the per-score weight traffic).
-  std::size_t packed_bytes() const noexcept;
 
   /// Runs the whole chain: out = L_n(...L_1(x)), resizing `out`
   /// (capacity-reusing, allocation-free after warmup).  Safe to call
@@ -114,42 +64,28 @@ class InferencePlan {
   void run(const tensor::Matrix& x, tensor::Matrix& out,
            util::ThreadPool* pool = nullptr) const;
 
-  // Introspection for the reduced-precision kernels and tests.
-  const std::vector<Layer>& layers() const noexcept { return layers_; }
-  std::size_t max_width() const noexcept { return max_width_; }
-  const std::vector<double>& packed() const noexcept { return packed_; }
-  const std::vector<std::uint16_t>& packed_bf16() const noexcept { return wq16_; }
-  const std::vector<std::int8_t>& packed_int8() const noexcept { return wq8_; }
-  const std::vector<float>& quant_bias() const noexcept { return bias_f_; }
-  const std::vector<float>& quant_scales() const noexcept { return scales_; }
-
  private:
-  void run_rows_full(const double* x, std::size_t rows, double* out,
-                     util::ThreadPool* pool) const;
-  void run_single_row_full(const double* x, double* out) const;
+  /// One packed layer: `w_off` and `b_off` index its weights (row-major
+  /// in x out, exactly Dense's layout) and bias inside the packed buffer.
+  struct Layer {
+    std::size_t in = 0;
+    std::size_t out = 0;
+    Activation act = Activation::Linear;
+    std::size_t w_off = 0;
+    std::size_t b_off = 0;
+  };
 
-  PlanPrecision precision_ = PlanPrecision::Full;
+  void run_rows(const double* x, std::size_t rows, double* out,
+                util::ThreadPool* pool) const;
+  void run_single_row(const double* x, double* out) const;
+
   std::vector<Layer> layers_;
   std::size_t input_dim_ = 0;
   std::size_t output_dim_ = 0;
   std::size_t max_width_ = 0;  // widest activation (input or any layer out)
 
-  // Full: weights and bias interleaved per layer in one contiguous buffer.
+  // Weights and bias interleaved per layer in one contiguous buffer.
   std::vector<double> packed_;
-  // Bf16 / Int8: packed weights, plus float bias and per-column scales.
-  std::vector<std::uint16_t> wq16_;
-  std::vector<std::int8_t> wq8_;
-  std::vector<float> bias_f_;
-  std::vector<float> scales_;  // Int8 only; dequantization per output column
 };
-
-namespace detail {
-/// Reduced-precision row sweeps (separate TU: unlike the Full path these
-/// carry no bit-exactness contract, so their TU allows FP contraction/FMA).
-void run_rows_bf16(const InferencePlan& plan, const double* x, std::size_t rows,
-                   double* out);
-void run_rows_int8(const InferencePlan& plan, const double* x, std::size_t rows,
-                   double* out);
-}  // namespace detail
 
 }  // namespace prodigy::nn

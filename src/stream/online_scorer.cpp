@@ -26,12 +26,6 @@ OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
   if (config_.window == 0 || config_.hop == 0) {
     throw std::invalid_argument("OnlineScorer: window and hop must be > 0");
   }
-  // Opt-in reduced-precision scoring: rebuild the owned bundle copy's fused
-  // VAE plan before any window is scored.  Only this scorer's copy changes;
-  // the caller's bundle keeps its own (default Full, bit-exact) plan.
-  if (config_.inference_precision) {
-    bundle_.detector.set_inference_precision(*config_.inference_precision);
-  }
   kinds_.reserve(telemetry::metric_count());
   for (const auto& spec : telemetry::metric_catalog()) {
     kinds_.push_back(spec.kind);
@@ -43,13 +37,11 @@ OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
   // The incremental path needs overlapping windows to have anything to
   // reuse, a window large enough to profile, and window-local trimming off
   // (a trimmed window is not a suffix of the stream, so deltas can't feed
-  // it).  Anything else silently runs the batch-exact full recompute.
-  extraction_ = config_.extraction;
-  if (extraction_ == ExtractionMode::kIncremental &&
-      (config_.hop >= config_.window || config_.window < 2 ||
-       config_.preprocess.trim_seconds != 0.0)) {
-    extraction_ = ExtractionMode::kFullRecompute;
-  }
+  // it).  Any other shape runs the full recompute, which gives the same bits.
+  extraction_ = config_.hop < config_.window && config_.window >= 2 &&
+                        config_.preprocess.trim_seconds == 0.0
+                    ? ExtractionMode::kIncremental
+                    : ExtractionMode::kFullRecompute;
 
   if (!config_.metrics_scope.empty()) {
     auto& registry = util::MetricsRegistry::global();

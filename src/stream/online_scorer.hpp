@@ -28,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 namespace prodigy::stream {
 
@@ -37,15 +36,16 @@ namespace prodigy::stream {
 /// a W-row window is already inside the steady phase of the run.
 pipeline::PreprocessOptions streaming_preprocess_defaults();
 
-/// How each ready window is turned into a feature vector.
+/// How each ready window is turned into a feature vector.  The window shape
+/// selects it (OnlineScorer::extraction_mode()); both give the same bits.
 enum class ExtractionMode : std::uint8_t {
   /// Batch semantics per window: materialize all W rows, preprocess_node,
-  /// extract_node_features.  O(W log W) per metric per hop.
+  /// extract_node_features.  O(W log W) per metric per hop.  Taken when the
+  /// shape defeats reuse (hop >= window, window < 2) or requires
+  /// whole-window preprocessing (trim_seconds != 0).
   kFullRecompute,
   /// Rolling per-(node, metric) state absorbs only the hop's new rows
-  /// (features/incremental_profile.hpp).  Falls back to kFullRecompute
-  /// automatically when the configuration defeats reuse (hop >= window) or
-  /// requires whole-window preprocessing (trim_seconds != 0).
+  /// (features/incremental_profile.hpp).  Taken for every other shape.
   kIncremental,
 };
 
@@ -53,7 +53,6 @@ struct OnlineScorerConfig {
   std::size_t window = 64;  // W: rows per scored window
   std::size_t hop = 16;     // H: rows between window starts
   pipeline::PreprocessOptions preprocess = streaming_preprocess_defaults();
-  ExtractionMode extraction = ExtractionMode::kIncremental;
   util::ThreadPool* pool = nullptr;  // nullptr -> util::ThreadPool::global()
   /// When non-empty (e.g. "shard3"), per-window latency and count are also
   /// recorded under scoped metric names
@@ -61,19 +60,13 @@ struct OnlineScorerConfig {
   /// so a sharded deployment exposes per-shard p50/p99 next to the fleet
   /// totals.
   std::string metrics_scope;
-  /// When set, the scorer's owned bundle copy rebuilds its fused VAE
-  /// inference plan at this precision (nn::PlanPrecision::Bf16/Int8 are the
-  /// opt-in reduced-precision modes; unset keeps the bundle's default,
-  /// bit-exact Full plan).  Requires a fitted bundle.
-  std::optional<nn::PlanPrecision> inference_precision;
   /// Online adaptation hook.  When set, every window is scored through a
   /// lease acquired from the provider for exactly that window (the swap is
   /// atomic per window — no torn model), verdicts carry the lease's
   /// generation, and each published verdict is fed back via on_verdict().
   /// Must outlive the scorer.  Null (the default) keeps the scorer's owned
   /// frozen bundle and generation 0 — behavior bit-identical to a build
-  /// without adaptation.  `inference_precision` only applies to the owned
-  /// bundle, never to provider leases.
+  /// without adaptation.
   ModelProvider* model_provider = nullptr;
 };
 
@@ -109,8 +102,7 @@ class OnlineScorer : public RowSink {
     return windows_skipped_.load(std::memory_order_relaxed);
   }
   const OnlineScorerConfig& config() const noexcept { return config_; }
-  /// The mode actually in effect (kIncremental may auto-fall back; see
-  /// ExtractionMode).
+  /// The extraction path the window shape selected (see ExtractionMode).
   ExtractionMode extraction_mode() const noexcept { return extraction_; }
   const core::ModelBundle& bundle() const noexcept { return bundle_; }
 

@@ -1,20 +1,16 @@
-// Fused-vs-layerwise inference-plan parity (the PlanPrecision::Full path
-// must be EXPECT_EQ bit-identical to the layer-by-layer oracle for every
-// batch height, pool size, and NaN/Inf input — same determinism contract as
-// tensor/kernels), plus builder validation, alias immunity, the bf16/int8
-// quantization mechanics, and the reduced-precision F1 accuracy gate.
+// Fused-vs-layerwise inference-plan parity (the plan must be EXPECT_EQ
+// bit-identical to the layer-by-layer oracle for every batch height, pool
+// size, and NaN/Inf input — same determinism contract as tensor/kernels),
+// plus builder validation and alias immunity.
 #include "nn/inference_plan.hpp"
 
-#include "core/prodigy_detector.hpp"
 #include "core/vae.hpp"
 #include "nn/mlp.hpp"
-#include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -59,7 +55,6 @@ TEST(InferencePlanParityTest, FusedMatchesLayerwiseBitsAcrossHeightsAndPools) {
   EXPECT_EQ(plan.input_dim(), input_dim);
   EXPECT_EQ(plan.output_dim(), mlp.output_dim());
   EXPECT_EQ(plan.layer_count(), 4u);
-  EXPECT_EQ(plan.precision(), PlanPrecision::Full);
 
   for (const std::size_t rows : {std::size_t{1}, std::size_t{7},
                                  std::size_t{64}, std::size_t{70}}) {
@@ -173,206 +168,36 @@ TEST(InferencePlanBuilderTest, RejectsWrongInputWidthAtRun) {
   EXPECT_THROW(plan.run(wrong, out), std::invalid_argument);
 }
 
-TEST(InferencePlanBuilderTest, PackedBytesShrinkWithPrecision) {
-  const Mlp mlp = make_mlp(64, 59);
-  InferencePlan::Builder builder;
-  builder.add(mlp);
-  const auto full = builder.build(PlanPrecision::Full);
-  const auto bf16 = builder.build(PlanPrecision::Bf16);
-  const auto int8 = builder.build(PlanPrecision::Int8);
-  EXPECT_GT(full.packed_bytes(), bf16.packed_bytes());
-  EXPECT_GT(bf16.packed_bytes(), int8.packed_bytes());
-}
-
-TEST(InferencePlanQuantTest, Bf16RoundTripMechanics) {
-  // Representable-in-bf16 values survive exactly.
-  for (const double v : {0.0, 1.0, -2.0, 0.5, -0.375, 128.0}) {
-    EXPECT_EQ(bf16_to_float(bf16_from_double(v)), static_cast<float>(v));
-  }
-  // Round-to-nearest-even: 1 + 2^-9 is exactly between 1.0 and the next
-  // bf16 (1 + 2^-7 mantissa step is 2^-7; half step = 2^-8)...
-  // 1.0 + 2^-8 is the exact midpoint and must round to even (1.0).
-  EXPECT_EQ(bf16_to_float(bf16_from_double(1.0 + 0x1.0p-8)), 1.0f);
-  // Just above the midpoint rounds up.
-  EXPECT_EQ(bf16_to_float(bf16_from_double(1.0 + 0x1.8p-8)),
-            1.0f + 0x1.0p-7f);
-  // NaN stays NaN; infinities stay infinite.
-  EXPECT_TRUE(std::isnan(
-      bf16_to_float(bf16_from_double(std::numeric_limits<double>::quiet_NaN()))));
-  EXPECT_EQ(bf16_to_float(bf16_from_double(
-                std::numeric_limits<double>::infinity())),
-            std::numeric_limits<float>::infinity());
-}
-
-TEST(InferencePlanQuantTest, Int8QuantizationBoundsPerColumn) {
-  util::Rng rng(7);
-  const Dense layer(13, 6, Activation::Linear, rng);
-  const InferencePlan plan =
-      InferencePlan::Builder().add(layer).build(PlanPrecision::Int8);
-  const auto& q = plan.packed_int8();
-  const auto& scales = plan.quant_scales();
-  ASSERT_EQ(q.size(), layer.weights().size());
-  ASSERT_EQ(scales.size(), 6u);
-  for (std::size_t j = 0; j < 6; ++j) {
-    EXPECT_GT(scales[j], 0.0f);
-    for (std::size_t k = 0; k < 13; ++k) {
-      const double w = layer.weights()(k, j);
-      const double deq = static_cast<double>(q[k * 6 + j]) *
-                         static_cast<double>(scales[j]);
-      // Round-to-nearest symmetric quantization: within half a step.
-      EXPECT_LE(std::abs(w - deq), 0.5 * static_cast<double>(scales[j]) + 1e-12)
-          << "col " << j << " row " << k;
-    }
-  }
-}
-
-TEST(InferencePlanQuantTest, QuantizedOutputsTrackFullPrecision) {
-  const std::size_t input_dim = 24;
-  const Mlp mlp = make_mlp(input_dim, 61);
-  InferencePlan::Builder builder;
-  builder.add(mlp);
-  const auto full = builder.build(PlanPrecision::Full);
-  const auto bf16 = builder.build(PlanPrecision::Bf16);
-  const auto int8 = builder.build(PlanPrecision::Int8);
-
-  const tensor::Matrix x = random_input(70, input_dim, 9);
-  tensor::Matrix out_full, out_bf16, out_int8;
-  full.run(x, out_full);
-  bf16.run(x, out_bf16);
-  int8.run(x, out_int8);
-
-  double scale = 0.0;
-  for (std::size_t i = 0; i < out_full.size(); ++i) {
-    scale = std::max(scale, std::abs(out_full.data()[i]));
-  }
-  ASSERT_GT(scale, 0.0);
-  double bf16_dev = 0.0, int8_dev = 0.0;
-  for (std::size_t i = 0; i < out_full.size(); ++i) {
-    bf16_dev = std::max(bf16_dev,
-                        std::abs(out_bf16.data()[i] - out_full.data()[i]));
-    int8_dev = std::max(int8_dev,
-                        std::abs(out_int8.data()[i] - out_full.data()[i]));
-    EXPECT_TRUE(std::isfinite(out_bf16.data()[i]));
-    EXPECT_TRUE(std::isfinite(out_int8.data()[i]));
-  }
-  // Loose closeness gates (the real accuracy gate is the F1 delta below):
-  // bf16 keeps ~3 significant digits per weight, int8 ~2.
-  EXPECT_LT(bf16_dev / scale, 0.05);
-  EXPECT_LT(int8_dev / scale, 0.25);
-}
-
-TEST(InferencePlanQuantTest, QuantizedPoolSizeInvariance) {
-  const Mlp mlp = make_mlp(16, 67);
-  const InferencePlan plan =
-      InferencePlan::Builder().add(mlp).build(PlanPrecision::Int8);
-  const tensor::Matrix x = random_input(130, 16, 5);
-  tensor::Matrix a, b;
-  util::ThreadPool one(1), three(3);
-  plan.run(x, a, &one);
-  plan.run(x, b, &three);
-  expect_bits_equal(a, b, "int8 pool invariance");
-}
-
 TEST(InferencePlanVaeTest, FusedReconstructionErrorMatchesLayerwiseOracle) {
   core::VaeConfig config;
   config.input_dim = 12;
   config.encoder_hidden = {16, 8};
   config.latent_dim = 3;
   config.seed = 5;
-  core::VariationalAutoencoder vae(config);  // untrained weights are fine
-  ASSERT_TRUE(vae.inference_plan() != nullptr);
-  EXPECT_EQ(vae.inference_precision(), PlanPrecision::Full);
-
-  for (const std::size_t rows : {std::size_t{1}, std::size_t{7},
-                                 std::size_t{64}, std::size_t{70}}) {
-    const tensor::Matrix x = random_input(rows, 12, 400 + rows);
-    const auto fused = vae.reconstruction_error(x);
-    const auto oracle = vae.reconstruction_error_layerwise(x);
-    ASSERT_EQ(fused.size(), oracle.size());
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(fused[i]),
-                std::bit_cast<std::uint64_t>(oracle[i]))
-          << "rows=" << rows << " i=" << i;
-    }
-  }
-}
-
-TEST(InferencePlanVaeTest, PrecisionRoundTripRestoresBitExactScoring) {
-  auto [X, labels] = testing::blob_dataset(48, 0, 10, 3.0, 21);
-  core::VaeConfig config;
-  config.input_dim = 10;
-  config.encoder_hidden = {12, 6};
-  config.latent_dim = 3;
   core::VariationalAutoencoder vae(config);
-  nn::TrainOptions options;
-  options.epochs = 20;
+  ASSERT_TRUE(vae.inference_plan() != nullptr);
+
+  auto expect_fused_matches_oracle = [&](const char* when) {
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{7},
+                                   std::size_t{64}, std::size_t{70}}) {
+      const tensor::Matrix x = random_input(rows, 12, 400 + rows);
+      const auto fused = vae.reconstruction_error(x);
+      const auto oracle = vae.reconstruction_error_layerwise(x);
+      ASSERT_EQ(fused.size(), oracle.size());
+      for (std::size_t i = 0; i < fused.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fused[i]),
+                  std::bit_cast<std::uint64_t>(oracle[i]))
+            << when << " rows=" << rows << " i=" << i;
+      }
+    }
+  };
+  expect_fused_matches_oracle("untrained");
+  // fit() repacks the plan from the trained weights.
+  TrainOptions options;
+  options.epochs = 5;
   options.batch_size = 16;
-  vae.fit(X, options);
-
-  const auto baseline = vae.reconstruction_error(X);
-  vae.build_inference_plan(PlanPrecision::Int8);
-  EXPECT_EQ(vae.inference_precision(), PlanPrecision::Int8);
-  const auto quantized = vae.reconstruction_error(X);
-  vae.build_inference_plan(PlanPrecision::Full);
-  const auto restored = vae.reconstruction_error(X);
-
-  ASSERT_EQ(baseline.size(), restored.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(baseline[i]),
-              std::bit_cast<std::uint64_t>(restored[i]));
-  }
-  // And the quantized pass actually took the quantized path: scores differ
-  // somewhere (while staying finite).
-  bool any_diff = false;
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(quantized[i]));
-    any_diff = any_diff || quantized[i] != baseline[i];
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-TEST(InferencePlanVaeTest, ReducedPrecisionF1DeltaWithinGate) {
-  // The accuracy gate: a detector trained on blob data must keep its tuned
-  // macro-F1 within 0.05 of the fp64 detector under bf16 and int8 weights
-  // (mirrors the Tier-1 harness in bench/inference_latency --f1-delta).
-  auto [X, labels] = testing::blob_dataset(160, 40, 12, 3.0, 33);
-  core::ProdigyConfig config;
-  config.vae.encoder_hidden = {16, 8};
-  config.vae.latent_dim = 4;
-  config.train.epochs = 60;
-  config.train.batch_size = 32;
-  config.train.validation_split = 0.2;
-  config.train.early_stopping_patience = 0;
-  core::ProdigyDetector detector(config);
-  detector.fit(X, labels);
-
-  const double f1_full = detector.tune_threshold(X, labels);
-  EXPECT_GE(f1_full, 0.9);
-
-  detector.set_inference_precision(PlanPrecision::Bf16);
-  const double f1_bf16 = detector.tune_threshold(X, labels);
-  detector.set_inference_precision(PlanPrecision::Int8);
-  const double f1_int8 = detector.tune_threshold(X, labels);
-  detector.set_inference_precision(PlanPrecision::Full);
-
-  EXPECT_LE(std::abs(f1_full - f1_bf16), 0.05) << "bf16 F1 delta too large";
-  EXPECT_LE(std::abs(f1_full - f1_int8), 0.05) << "int8 F1 delta too large";
-}
-
-TEST(InferencePlanVaeTest, DetectorRequiresFitBeforePrecisionChange) {
-  core::ProdigyDetector detector;
-  EXPECT_THROW(detector.set_inference_precision(PlanPrecision::Bf16),
-               std::logic_error);
-  EXPECT_EQ(detector.inference_precision(), PlanPrecision::Full);
-}
-
-TEST(InferencePlanVaeTest, PrecisionNamesRoundTrip) {
-  EXPECT_EQ(plan_precision_from_string("full"), PlanPrecision::Full);
-  EXPECT_EQ(plan_precision_from_string("fp64"), PlanPrecision::Full);
-  EXPECT_EQ(plan_precision_from_string("bf16"), PlanPrecision::Bf16);
-  EXPECT_EQ(plan_precision_from_string("int8"), PlanPrecision::Int8);
-  EXPECT_THROW(plan_precision_from_string("fp8"), std::invalid_argument);
-  EXPECT_EQ(to_string(PlanPrecision::Bf16), "bf16");
+  vae.fit(random_input(48, 12, 9), options);
+  expect_fused_matches_oracle("trained");
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 
@@ -111,10 +113,17 @@ TEST(ProdigyDetectorTest, SaveLoadPredictsIdentically) {
   const ProdigyDetector loaded = ProdigyDetector::load(reader);
   std::remove(path.c_str());
 
-  EXPECT_DOUBLE_EQ(loaded.threshold(), detector.threshold());
-  const auto a = detector.predict(X);
-  const auto b = loaded.predict(X);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.threshold()),
+            std::bit_cast<std::uint64_t>(detector.threshold()));
+  const auto a = detector.score(X);
+  const auto b = loaded.score(X);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "row " << i;
+  }
+  EXPECT_EQ(detector.predict(X), loaded.predict(X));
 }
 
 TEST(ProdigyDetectorTest, SaveBeforeFitThrows) {

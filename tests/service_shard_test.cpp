@@ -130,10 +130,6 @@ TEST_F(ServiceShardTest, GoldenDeterminismAcrossShardCountsAndPoolSizes) {
     config.scorer_threads = threads;
     config.scorer.window = 48;
     config.scorer.hop = 24;
-    // Pin the batch-exact extraction path: this suite asserts EXPECT_EQ
-    // against the unsharded oracle (the incremental mode's tolerance story
-    // is owned by stream_scoring_test).
-    config.scorer.extraction = stream::ExtractionMode::kFullRecompute;
     config.preprocess = stream::streaming_preprocess_defaults();
     stream::ShardedAnalyticsService service(bundle, config);
 

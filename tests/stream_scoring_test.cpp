@@ -4,6 +4,8 @@
 // preprocessing, bit-identical scores.
 #include "deploy/dsos.hpp"
 #include "deploy/service.hpp"
+#include "features/feature_matrix.hpp"
+#include "pipeline/preprocess.hpp"
 #include "stream/event_bus.hpp"
 #include "stream/ingestor.hpp"
 #include "stream/online_scorer.hpp"
@@ -97,93 +99,98 @@ TEST_F(StreamScoringTest, StreamVerdictsMatchBatchScoringExactly) {
       store_, train_jobs_, fast_options(), /*explain=*/false);
   const core::ModelBundle& bundle = service.bundle();
 
-  // Replay job 50 (memleak on nodes 1 and 3) through the streaming stack.
+  // Replay job 50 (memleak on nodes 1 and 3) through the streaming stack,
+  // once per extraction path the window shape selects: 150 rows give
+  // windows 0..5 per node at H=16 and 0..1 at H=64, over 4 nodes.
   const auto memleak = hpas::table2_configurations().back();
   const auto replay_job = make_job(50, "LAMMPS", 4, 150, memleak, {1, 3});
+  struct Shape {
+    std::size_t hop;
+    stream::ExtractionMode mode;
+    std::size_t windows_per_node;
+  };
+  for (const Shape shape : {Shape{16, stream::ExtractionMode::kIncremental, 6},
+                            Shape{64, stream::ExtractionMode::kFullRecompute, 2}}) {
+    SCOPED_TRACE("W=64 H=" + std::to_string(shape.hop));
+    stream::EventBus bus;
+    std::mutex verdict_mutex;
+    std::map<std::pair<std::int64_t, std::uint64_t>, stream::VerdictEvent>
+        verdicts;
+    bus.subscribe([&](const stream::VerdictEvent& event) {
+      std::lock_guard lock(verdict_mutex);
+      verdicts[{event.component_id, event.window_index}] = event;
+    });
 
-  stream::EventBus bus;
-  std::mutex verdict_mutex;
-  std::map<std::pair<std::int64_t, std::uint64_t>, stream::VerdictEvent> verdicts;
-  bus.subscribe([&](const stream::VerdictEvent& event) {
-    std::lock_guard lock(verdict_mutex);
-    verdicts[{event.component_id, event.window_index}] = event;
-  });
+    stream::OnlineScorerConfig scorer_config;
+    scorer_config.window = 64;
+    scorer_config.hop = shape.hop;
+    stream::OnlineScorer online(bundle, bus, scorer_config);
+    ASSERT_EQ(online.extraction_mode(), shape.mode);
 
-  stream::OnlineScorerConfig scorer_config;
-  scorer_config.window = 64;
-  scorer_config.hop = 16;
-  // This test asserts EXPECT_DOUBLE_EQ against the batch oracle; pin the
-  // bit-exact full-recompute path (IncrementalScoringMatchesFullRecompute
-  // covers the default incremental mode with its documented tolerances).
-  scorer_config.extraction = stream::ExtractionMode::kFullRecompute;
-  stream::OnlineScorer scorer(bundle, bus, scorer_config);
-  ASSERT_EQ(scorer.extraction_mode(), stream::ExtractionMode::kFullRecompute);
-
-  deploy::DsosStore live_store;
-  stream::StreamIngestor ingestor(live_store, {}, &scorer);
-  for (auto& batch : batches_from_job(replay_job)) {
-    EXPECT_TRUE(ingestor.offer(std::move(batch)));
-  }
-  ingestor.stop();
-  scorer.drain();
-
-  // Block policy on an unsaturated queue: nothing may be lost.
-  const auto stats = ingestor.stats();
-  EXPECT_EQ(stats.dropped_samples, 0u);
-  EXPECT_EQ(stats.offered_samples, stats.flushed_samples);
-  EXPECT_EQ(scorer.score_errors(), 0u);
-
-  // 150 rows, W=64, H=16 -> windows 0..5 per node, 4 nodes.
-  constexpr std::size_t kWindowsPerNode = 6;
-  ASSERT_EQ(verdicts.size(), 4 * kWindowsPerNode);
-  EXPECT_EQ(scorer.windows_scored(), 4 * kWindowsPerNode);
-  EXPECT_EQ(bus.verdicts_published(), 4 * kWindowsPerNode);
-
-  // Batch oracle: every streamed window becomes one synthetic node of one
-  // batch job, scored by the AnalyticsService with the same preprocessing.
-  telemetry::JobTelemetry oracle_job;
-  oracle_job.job_id = 1;
-  oracle_job.app = "LAMMPS";
-  std::vector<const stream::VerdictEvent*> order;
-  for (const auto& [key, event] : verdicts) {
-    const auto* source = &replay_job.nodes[0];
-    for (const auto& node : replay_job.nodes) {
-      if (node.component_id == key.first) source = &node;
+    deploy::DsosStore live_store;
+    stream::StreamIngestor ingestor(live_store, {}, &online);
+    for (auto& batch : batches_from_job(replay_job)) {
+      EXPECT_TRUE(ingestor.offer(std::move(batch)));
     }
-    telemetry::NodeSeries window;
-    window.job_id = 1;
-    window.component_id = static_cast<std::int64_t>(order.size());
-    window.app = oracle_job.app;
-    window.values = source->values.slice_rows(
-        static_cast<std::size_t>(key.second) * scorer_config.hop,
-        scorer_config.window);
-    oracle_job.nodes.push_back(std::move(window));
-    order.push_back(&event);
+    ingestor.stop();
+    online.drain();
 
-    // The verdict's span names the rows it covers.
-    EXPECT_EQ(event.window_start_ts,
-              static_cast<std::int64_t>(key.second * scorer_config.hop));
-    EXPECT_EQ(event.window_end_ts,
-              static_cast<std::int64_t>(key.second * scorer_config.hop +
-                                        scorer_config.window - 1));
-  }
-  deploy::DsosStore oracle_store;
-  oracle_store.ingest(oracle_job);
-  const deploy::AnalyticsService oracle(oracle_store, bundle,
-                                        scorer_config.preprocess,
-                                        /*explain=*/false);
-  const deploy::JobAnalysis analysis = oracle.analyze_job(1);
-  ASSERT_EQ(analysis.nodes.size(), order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_DOUBLE_EQ(analysis.nodes[i].score, order[i]->score);
-    EXPECT_EQ(analysis.nodes[i].anomalous, order[i]->anomalous);
-    EXPECT_DOUBLE_EQ(analysis.nodes[i].threshold, order[i]->threshold);
-  }
+    // Block policy on an unsaturated queue: nothing may be lost.
+    const auto stats = ingestor.stats();
+    EXPECT_EQ(stats.dropped_samples, 0u);
+    EXPECT_EQ(stats.offered_samples, stats.flushed_samples);
+    EXPECT_EQ(online.score_errors(), 0u);
 
-  // The streamed rows also landed in the live store, byte for byte.
-  for (const auto& node : replay_job.nodes) {
-    const auto stored = live_store.query_node(node.job_id, node.component_id);
-    ASSERT_EQ(stored.values.rows(), node.values.rows());
+    ASSERT_EQ(verdicts.size(), 4 * shape.windows_per_node);
+    EXPECT_EQ(online.windows_scored(), 4 * shape.windows_per_node);
+    EXPECT_EQ(bus.verdicts_published(), 4 * shape.windows_per_node);
+
+    // Batch oracle: every streamed window becomes one synthetic node of one
+    // batch job, scored by the AnalyticsService with the same preprocessing.
+    telemetry::JobTelemetry oracle_job;
+    oracle_job.job_id = 1;
+    oracle_job.app = "LAMMPS";
+    std::vector<const stream::VerdictEvent*> order;
+    for (const auto& [key, event] : verdicts) {
+      const auto* source = &replay_job.nodes[0];
+      for (const auto& node : replay_job.nodes) {
+        if (node.component_id == key.first) source = &node;
+      }
+      telemetry::NodeSeries window;
+      window.job_id = 1;
+      window.component_id = static_cast<std::int64_t>(order.size());
+      window.app = oracle_job.app;
+      window.values = source->values.slice_rows(
+          static_cast<std::size_t>(key.second) * scorer_config.hop,
+          scorer_config.window);
+      oracle_job.nodes.push_back(std::move(window));
+      order.push_back(&event);
+
+      // The verdict's span names the rows it covers.
+      EXPECT_EQ(event.window_start_ts,
+                static_cast<std::int64_t>(key.second * scorer_config.hop));
+      EXPECT_EQ(event.window_end_ts,
+                static_cast<std::int64_t>(key.second * scorer_config.hop +
+                                          scorer_config.window - 1));
+    }
+    deploy::DsosStore oracle_store;
+    oracle_store.ingest(oracle_job);
+    const deploy::AnalyticsService oracle(oracle_store, bundle,
+                                          scorer_config.preprocess,
+                                          /*explain=*/false);
+    const deploy::JobAnalysis analysis = oracle.analyze_job(1);
+    ASSERT_EQ(analysis.nodes.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(analysis.nodes[i].score, order[i]->score);
+      EXPECT_EQ(analysis.nodes[i].anomalous, order[i]->anomalous);
+      EXPECT_EQ(analysis.nodes[i].threshold, order[i]->threshold);
+    }
+
+    // The streamed rows also landed in the live store, byte for byte.
+    for (const auto& node : replay_job.nodes) {
+      const auto stored = live_store.query_node(node.job_id, node.component_id);
+      ASSERT_EQ(stored.values.rows(), node.values.rows());
+    }
   }
 }
 
@@ -195,50 +202,52 @@ TEST_F(StreamScoringTest, IncrementalScoringMatchesFullRecompute) {
   const auto memleak = hpas::table2_configurations().back();
   const auto replay_job = make_job(51, "LAMMPS", 4, 150, memleak, {1, 3});
 
-  // Score the same replay twice: once per extraction mode.
-  auto run_replay = [&](stream::ExtractionMode mode) {
-    stream::EventBus bus;
-    std::mutex verdict_mutex;
-    std::map<std::pair<std::int64_t, std::uint64_t>, stream::VerdictEvent>
-        verdicts;
-    bus.subscribe([&](const stream::VerdictEvent& event) {
-      std::lock_guard lock(verdict_mutex);
-      verdicts[{event.component_id, event.window_index}] = event;
-    });
-    stream::OnlineScorerConfig scorer_config;
-    scorer_config.window = 64;
-    scorer_config.hop = 16;
-    scorer_config.extraction = mode;
-    stream::OnlineScorer scorer(bundle, bus, scorer_config);
-    EXPECT_EQ(scorer.extraction_mode(), mode);
-    deploy::DsosStore live_store;
-    stream::StreamIngestor ingestor(live_store, {}, &scorer);
-    for (auto& batch : batches_from_job(replay_job)) {
-      EXPECT_TRUE(ingestor.offer(std::move(batch)));
+  stream::EventBus bus;
+  std::mutex verdict_mutex;
+  std::map<std::pair<std::int64_t, std::uint64_t>, stream::VerdictEvent>
+      verdicts;
+  bus.subscribe([&](const stream::VerdictEvent& event) {
+    std::lock_guard lock(verdict_mutex);
+    verdicts[{event.component_id, event.window_index}] = event;
+  });
+  stream::OnlineScorerConfig scorer_config;
+  scorer_config.window = 64;
+  scorer_config.hop = 16;
+  stream::OnlineScorer online(bundle, bus, scorer_config);
+  ASSERT_EQ(online.extraction_mode(), stream::ExtractionMode::kIncremental);
+  deploy::DsosStore live_store;
+  stream::StreamIngestor ingestor(live_store, {}, &online);
+  for (auto& batch : batches_from_job(replay_job)) {
+    EXPECT_TRUE(ingestor.offer(std::move(batch)));
+  }
+  ingestor.stop();
+  online.drain();
+  EXPECT_EQ(online.score_errors(), 0u);
+  EXPECT_EQ(online.windows_skipped(), 0u);
+  ASSERT_EQ(verdicts.size(), 4u * 6u);
+
+  // Reference: each raw window recomputed from scratch (preprocess, extract
+  // every feature, score).  The incremental engine is bit-exact on every
+  // feature, so scores and verdicts are identical.
+  for (const auto& node : replay_job.nodes) {
+    for (std::uint64_t w = 0; w < 6; ++w) {
+      const auto it = verdicts.find({node.component_id, w});
+      ASSERT_NE(it, verdicts.end());
+      const auto& got = it->second;
+      const tensor::Matrix raw = node.values.slice_rows(
+          static_cast<std::size_t>(w) * scorer_config.hop, scorer_config.window);
+      const std::vector<double> features = features::extract_node_features(
+          pipeline::preprocess_node(raw, scorer_config.preprocess));
+      tensor::Matrix X(1, features.size());
+      X.set_row(0, features);
+      const double expect = bundle.score_full(X).at(0);
+      EXPECT_EQ(got.window_start_ts,
+                static_cast<std::int64_t>(w * scorer_config.hop));
+      EXPECT_EQ(got.score, expect)
+          << "node " << node.component_id << " window " << w;
+      EXPECT_EQ(got.anomalous, expect > bundle.detector.threshold())
+          << "node " << node.component_id << " window " << w;
     }
-    ingestor.stop();
-    scorer.drain();
-    EXPECT_EQ(scorer.score_errors(), 0u);
-    EXPECT_EQ(scorer.windows_skipped(), 0u);
-    return verdicts;
-  };
-
-  const auto full = run_replay(stream::ExtractionMode::kFullRecompute);
-  const auto incremental = run_replay(stream::ExtractionMode::kIncremental);
-
-  ASSERT_EQ(full.size(), incremental.size());
-  ASSERT_EQ(full.size(), 4u * 6u);
-  for (const auto& [key, expect] : full) {
-    const auto it = incremental.find(key);
-    ASSERT_NE(it, incremental.end());
-    const auto& got = it->second;
-    EXPECT_EQ(got.window_start_ts, expect.window_start_ts);
-    EXPECT_EQ(got.window_end_ts, expect.window_end_ts);
-    // The incremental engine is bit-exact on every feature, so scores and
-    // verdicts are identical.
-    EXPECT_EQ(got.score, expect.score);
-    EXPECT_EQ(got.anomalous, expect.anomalous)
-        << "node " << key.first << " window " << key.second;
   }
 }
 

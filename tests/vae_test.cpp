@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -175,7 +177,11 @@ TEST(VaeTest, SaveLoadReconstructsIdentically) {
   const auto a = vae.reconstruction_error(data);
   const auto b = loaded.reconstruction_error(data);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << "row " << i;
+  }
   EXPECT_EQ(loaded.config().latent_dim, 3u);
 }
 

@@ -2,12 +2,8 @@
 //
 //   prodigy_predict --store store.dsos --model model_dir --job 1234
 //                   [--trim 60] [--all] [--jobs N] [--concurrency K]
-//                   [--repeat R] [--cache CAP] [--precision full|bf16|int8]
-//                   [--report] [--metrics-out PATH]
+//                   [--repeat R] [--cache CAP] [--report] [--metrics-out PATH]
 //
-// --precision selects the fused VAE inference plan's weight precision
-// (default full = fp64, bit-exact; bf16/int8 trade a bounded F1 delta for
-// scoring latency — see docs/performance.md).
 // --report prints the markdown dashboard block instead of plain lines.
 // --metrics-out dumps the process metrics registry on exit (JSON when PATH
 // ends in .json, Prometheus text otherwise).
@@ -48,38 +44,31 @@ int main(int argc, char** argv) {
       (!flags.has("job") && !flags.has("all") && !flags.has("jobs"))) {
     tools::usage("usage: prodigy_predict --store FILE --model DIR "
                  "(--job ID | --all | --jobs N) [--trim S] [--concurrency K] "
-                 "[--repeat R] [--cache CAP] [--precision full|bf16|int8] "
-                 "[--report] [--metrics-out PATH]\n");
+                 "[--repeat R] [--cache CAP] [--report] [--metrics-out PATH]\n");
   }
+  const std::size_t cache = flags.count("cache", 128);
+  const std::size_t job_limit = flags.count("jobs", 0);
+  const auto concurrency = std::max<std::size_t>(1, flags.count("concurrency", 1));
+  const auto repeat = std::max<std::size_t>(1, flags.count("repeat", 1));
+  pipeline::PreprocessOptions preprocess;
+  preprocess.trim_seconds = flags.get("trim", 60.0);
   util::set_log_level(util::LogLevel::Warn);
 
   const auto store = deploy::DsosStore::load(flags.get("store", std::string()));
-  auto bundle = core::ModelBundle::load(flags.get("model", std::string()));
-  const auto precision_name = flags.get("precision", std::string("full"));
-  bundle.detector.set_inference_precision(
-      nn::plan_precision_from_string(precision_name));
-  pipeline::PreprocessOptions preprocess;
-  preprocess.trim_seconds = flags.get("trim", 60.0);
-  deploy::AnalyticsService service(store, std::move(bundle), preprocess,
-                                   /*explain=*/false);
-  service.set_cache_capacity(
-      static_cast<std::size_t>(flags.get("cache", 128LL)));
+  deploy::AnalyticsService service(
+      store, core::ModelBundle::load(flags.get("model", std::string())),
+      preprocess, /*explain=*/false);
+  service.set_cache_capacity(cache);
 
   std::vector<std::int64_t> jobs;
   if (flags.has("all")) {
     jobs = store.job_ids();
   } else if (flags.has("jobs")) {
     jobs = store.job_ids();
-    const auto limit = static_cast<std::size_t>(flags.get("jobs", 0LL));
-    if (jobs.size() > limit) jobs.resize(limit);
+    if (jobs.size() > job_limit) jobs.resize(job_limit);
   } else {
     jobs.push_back(flags.get("job", 0LL));
   }
-
-  const auto concurrency =
-      std::max<std::size_t>(1, static_cast<std::size_t>(flags.get("concurrency", 1LL)));
-  const auto repeat =
-      std::max<std::size_t>(1, static_cast<std::size_t>(flags.get("repeat", 1LL)));
 
   if (concurrency > 1 || repeat > 1) {
     // Throughput mode: K client threads drain a shared queue of job requests.

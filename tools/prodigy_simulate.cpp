@@ -40,19 +40,20 @@ int main(int argc, char** argv) {
     tools::usage("usage: prodigy_simulate --out FILE "
                  "[--system Eclipse|Volta --scale S | --app NAME --jobs N]\n");
   }
+  const std::size_t jobs = flags.count("jobs", 5);
+  const std::size_t nodes = flags.count("nodes", 4);
   util::set_log_level(util::LogLevel::Warn);
   deploy::DsosStore store;
 
   if (flags.has("app")) {
     // Explicit runs of one application.
     const auto app = telemetry::application_by_name(flags.get("app", std::string()));
-    const auto jobs = flags.get("jobs", 5LL);
     util::Rng rng(static_cast<std::uint64_t>(flags.get("seed", 1LL)));
-    for (long long j = 0; j < jobs; ++j) {
+    for (std::size_t j = 0; j < jobs; ++j) {
       telemetry::RunConfig config;
       config.app = app;
-      config.job_id = flags.get("first-job-id", 1000LL) + j;
-      config.num_nodes = static_cast<std::size_t>(flags.get("nodes", 4LL));
+      config.job_id = flags.get("first-job-id", 1000LL) + static_cast<long long>(j);
+      config.num_nodes = nodes;
       config.duration_s = flags.get("duration", 300.0);
       config.seed = rng();
       config.first_component_id = config.job_id * 100;

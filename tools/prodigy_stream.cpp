@@ -179,6 +179,21 @@ int main(int argc, char** argv) {
         "                      [--replay FILE] [--out-store FILE] [--metrics-out PATH]\n"
         "       prodigy_stream --capture FILE [generation flags]\n");
   }
+  stream::OnlineScorerConfig scorer_config;
+  scorer_config.window = flags.count("window", 64);
+  scorer_config.hop = flags.count("hop", 16);
+  stream::EventBusConfig bus_config;
+  bus_config.debounce_windows = flags.count("debounce", 3);
+  stream::IngestorConfig ingest_config;
+  ingest_config.queue_capacity = flags.count("queue", 256);
+  ingest_config.flush_rows = flags.count("flush-rows", 256);
+  adapt::AdaptationConfig adapt_config;
+  adapt_config.drift.warmup_observations = flags.count("adapt-warmup", 64);
+  adapt_config.drift.lambda = flags.get("adapt-lambda", 8.0);
+  adapt_config.min_refit_samples = flags.count("adapt-min-refit", 64);
+  adapt_config.refit_epochs = flags.count("adapt-epochs", 60);
+  adapt_config.synchronous = flags.has("adapt-sync");
+  const std::size_t nodes = flags.count("nodes", 32);
   util::set_log_level(util::LogLevel::Warn);
 
   // --- Acquire the sample stream: replay a capture file or generate a run.
@@ -192,7 +207,7 @@ int main(int argc, char** argv) {
     telemetry::RunConfig config;
     config.app = telemetry::application_by_name(flags.get("app", std::string("LAMMPS")));
     config.job_id = flags.get("job-id", 7001LL);
-    config.num_nodes = static_cast<std::size_t>(flags.get("nodes", 32LL));
+    config.num_nodes = nodes;
     config.duration_s = flags.get("duration", 300.0);
     config.seed = static_cast<std::uint64_t>(flags.get("seed", 7LL));
     config.first_component_id = config.job_id * 100;
@@ -222,9 +237,6 @@ int main(int argc, char** argv) {
   // --- Wire the subsystem: ingestor -> windows -> scorer -> alert bus.
   auto bundle = core::ModelBundle::load(flags.get("model", std::string()));
 
-  stream::EventBusConfig bus_config;
-  bus_config.debounce_windows =
-      static_cast<std::size_t>(flags.get("debounce", 3LL));
   stream::EventBus bus(bus_config);
 
   const bool verbose = flags.has("verbose");
@@ -283,31 +295,16 @@ int main(int argc, char** argv) {
                   event.statistic, event.threshold,
                   static_cast<unsigned long long>(event.reservoir_samples));
     });
-    adapt::AdaptationConfig adapt_config;
-    adapt_config.drift.warmup_observations =
-        static_cast<std::size_t>(flags.get("adapt-warmup", 64LL));
-    adapt_config.drift.lambda = flags.get("adapt-lambda", 8.0);
-    adapt_config.min_refit_samples =
-        static_cast<std::size_t>(flags.get("adapt-min-refit", 64LL));
-    adapt_config.refit_epochs =
-        static_cast<std::size_t>(flags.get("adapt-epochs", 60LL));
-    adapt_config.synchronous = flags.has("adapt-sync");
     manager = std::make_unique<adapt::AdaptiveModelManager>(
         bundle, adapt_config, &bus, "stream");
   }
 
-  stream::OnlineScorerConfig scorer_config;
-  scorer_config.window = static_cast<std::size_t>(flags.get("window", 64LL));
-  scorer_config.hop = static_cast<std::size_t>(flags.get("hop", 16LL));
   scorer_config.model_provider = manager.get();
   stream::OnlineScorer scorer(bundle, bus, scorer_config);
 
   deploy::DsosStore store;
-  stream::IngestorConfig ingest_config;
-  ingest_config.queue_capacity = static_cast<std::size_t>(flags.get("queue", 256LL));
   ingest_config.policy =
       stream::backpressure_policy_from_string(flags.get("policy", std::string("block")));
-  ingest_config.flush_rows = static_cast<std::size_t>(flags.get("flush-rows", 256LL));
   stream::StreamIngestor ingestor(store, ingest_config, &scorer);
 
   // --- Replay, paced at --speed x real time (1 Hz samplers).

@@ -38,23 +38,15 @@ using namespace prodigy;
 
 /// The zoo path: same dataset flow as train_from_store (features -> select
 /// -> scale) but through any registry detector; evaluation only, no bundle.
-int run_zoo(const deploy::DsosStore& store, const tools::Flags& flags,
-            const std::string& name) {
+int run_zoo(const deploy::DsosStore& store, const std::string& name,
+            const adapt::DetectorOptions& options,
+            const pipeline::PreprocessOptions& preprocess, std::size_t top_k) {
   auto& registry = adapt::DetectorRegistry::global();
 
-  adapt::DetectorOptions options;
-  options.epochs = static_cast<std::size_t>(flags.get("epochs", 300LL));
-  options.batch_size = static_cast<std::size_t>(flags.get("batch", 32LL));
-  options.learning_rate = flags.get("lr", 1e-3);
-  options.usad_epochs = static_cast<std::size_t>(flags.get("usad-epochs", 100LL));
-
-  pipeline::PreprocessOptions preprocess;
-  preprocess.trim_seconds = flags.get("trim", 60.0);
   std::vector<telemetry::JobTelemetry> jobs;
   for (const auto job_id : store.job_ids()) jobs.push_back(store.query_job(job_id));
   auto dataset = pipeline::DataPipeline::build_from_jobs(jobs, preprocess);
 
-  const auto top_k = static_cast<std::size_t>(flags.get("features", 2000LL));
   pipeline::Scaler select_scaler(pipeline::ScalerKind::MinMax);
   features::FeatureDataset scaled = dataset;
   scaled.X = select_scaler.fit_transform(dataset.X);
@@ -107,6 +99,18 @@ int main(int argc, char** argv) {
                  "       prodigy_train --store FILE --detector NAME [...]\n"
                  "       prodigy_train --list-detectors\n");
   }
+  deploy::TrainFromStoreOptions options;
+  options.preprocess.trim_seconds = flags.get("trim", 60.0);
+  options.top_k_features = flags.count("features", 2000);
+  options.model.train.epochs = flags.count("epochs", 300);
+  options.model.train.batch_size = flags.count("batch", 32);
+  options.model.train.learning_rate = flags.get("lr", 1e-3);
+  options.system_name = flags.get("system", std::string("Eclipse"));
+  adapt::DetectorOptions zoo;
+  zoo.epochs = options.model.train.epochs;
+  zoo.batch_size = options.model.train.batch_size;
+  zoo.learning_rate = options.model.train.learning_rate;
+  zoo.usad_epochs = flags.count("usad-epochs", 100);
   util::set_log_level(util::LogLevel::Info);
 
   const auto store = deploy::DsosStore::load(flags.get("store", std::string()));
@@ -114,16 +118,9 @@ int main(int argc, char** argv) {
               flags.get("store", std::string()).c_str());
 
   if (flags.has("detector")) {
-    return run_zoo(store, flags, flags.get("detector", std::string("prodigy")));
+    return run_zoo(store, flags.get("detector", std::string("prodigy")), zoo,
+                   options.preprocess, options.top_k_features);
   }
-
-  deploy::TrainFromStoreOptions options;
-  options.preprocess.trim_seconds = flags.get("trim", 60.0);
-  options.top_k_features = static_cast<std::size_t>(flags.get("features", 2000LL));
-  options.model.train.epochs = static_cast<std::size_t>(flags.get("epochs", 300LL));
-  options.model.train.batch_size = static_cast<std::size_t>(flags.get("batch", 32LL));
-  options.model.train.learning_rate = flags.get("lr", 1e-3);
-  options.system_name = flags.get("system", std::string("Eclipse"));
 
   util::Timer timer;
   const auto service = deploy::AnalyticsService::train_from_store(

@@ -1,0 +1,35 @@
+# ToolsSmoke: drives the four CLI tools end to end on a small store and fails
+# on any unexpected exit status or any "MISMATCH" line.  The stream replays
+# run --verify-batch (bitwise stream-vs-batch scores) at W=64/H=16
+# (incremental extraction), W=64/H=64 (full recompute) and W=300/H=7
+# (approximate entropy's subsample stride is not an integer there).
+#   cmake -DSIMULATE=... -DTRAIN=... -DPREDICT=... -DSTREAM=... -P smoke.cmake
+# It writes store.dsos and model/ into the working directory.
+function(run_tool expected)
+  execute_process(COMMAND ${ARGN}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  list(JOIN ARGN " " command)
+  if(NOT code EQUAL expected)
+    message(FATAL_ERROR
+      "exit ${code} (expected ${expected}): ${command}\n${out}\n${err}")
+  endif()
+  string(FIND "${out}" "MISMATCH" mismatch)
+  if(NOT mismatch EQUAL -1)
+    message(FATAL_ERROR "stream/batch mismatch: ${command}\n${out}")
+  endif()
+  message(STATUS "ok: ${command}")
+endfunction()
+
+run_tool(0 ${SIMULATE} --out store.dsos --app LAMMPS --jobs 6 --nodes 4
+         --duration 150)
+run_tool(0 ${TRAIN} --store store.dsos --out model --epochs 30)
+run_tool(0 ${PREDICT} --store store.dsos --model model --all)
+foreach(shape "64;16" "64;64" "300;7")
+  list(GET shape 0 window)
+  list(GET shape 1 hop)
+  run_tool(0 ${STREAM} --model model --speed 0 --nodes 4 --duration 420
+           --anomaly memleak --anomalous-nodes 1 --verify-batch
+           --window ${window} --hop ${hop})
+endforeach()
+# A negative count is a usage error, not a wrapped size_t.
+run_tool(2 ${PREDICT} --store store.dsos --model model --all --repeat -1)

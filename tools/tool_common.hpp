@@ -2,6 +2,8 @@
 // binaries: --name value / --name=value).
 #pragma once
 
+#include <charconv>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -9,6 +11,11 @@
 #include <vector>
 
 namespace prodigy::tools {
+
+[[noreturn]] inline void usage(const char* text) {
+  std::fputs(text, stderr);
+  std::exit(2);
+}
 
 class Flags {
  public:
@@ -43,6 +50,21 @@ class Flags {
     const auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
+  /// A count (rows, nodes, epochs, ...): a negative, non-numeric or
+  /// out-of-range value exits through usage() naming the flag.
+  std::size_t count(const std::string& name, std::size_t fallback) const {
+    const auto it = values_.find(name);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    std::size_t value = 0;
+    const auto [end, error] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (error != std::errc() || end != text.data() + text.size()) {
+      usage(("--" + name + " expects a non-negative integer, got '" + text +
+             "'\n").c_str());
+    }
+    return value;
+  }
   bool has(const std::string& name) const { return values_.contains(name); }
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -50,10 +72,5 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
-
-[[noreturn]] inline void usage(const char* text) {
-  std::fputs(text, stderr);
-  std::exit(2);
-}
 
 }  // namespace prodigy::tools
