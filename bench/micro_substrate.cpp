@@ -182,6 +182,68 @@ void BM_GemmVaeShapes(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmVaeShapes)->Apply(GemmVaeShapeArgs)->Unit(benchmark::kMicrosecond);
 
+// Every GEMM of one training step of the model the library ships and
+// bench/e2e trains (core::ProdigyConfig's VAE at the 2000-feature default
+// width: encoder 2000->64->32, 32->8 heads, decoder 8->32->64->2000), at the
+// two batch heights of a 112-row fit (90 training rows: a 64-row and a
+// 26-row step).  Per layer (in -> out) at batch height b: the forward NN
+// (b x out, k = in), the weight-gradient TN (in x out, k = b) and the
+// input-gradient NT (b x in, k = out), which the encoder's first layer skips.
+// Args: layout (0 NN, 1 TN, 2 NT), m, n, k.
+void GemmTrainingShapeArgs(benchmark::internal::Benchmark* bench) {
+  const core::ProdigyConfig config;
+  std::vector<std::pair<std::int64_t, std::int64_t>> layers;
+  std::int64_t in = 2000;
+  for (const auto units : config.vae.encoder_hidden) {
+    layers.emplace_back(in, static_cast<std::int64_t>(units));
+    in = static_cast<std::int64_t>(units);
+  }
+  layers.emplace_back(in, static_cast<std::int64_t>(config.vae.latent_dim));
+  in = static_cast<std::int64_t>(config.vae.latent_dim);
+  for (auto it = config.vae.encoder_hidden.rbegin();
+       it != config.vae.encoder_hidden.rend(); ++it) {
+    layers.emplace_back(in, static_cast<std::int64_t>(*it));
+    in = static_cast<std::int64_t>(*it);
+  }
+  layers.emplace_back(in, 2000);
+  for (const std::int64_t b : {26, 64}) {
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      const auto [lin, lout] = layers[l];
+      bench->Args({0, b, lout, lin});
+      bench->Args({1, lin, lout, b});
+      if (l > 0) bench->Args({2, b, lin, lout});
+    }
+  }
+}
+
+void BM_GemmTrainingShapes(benchmark::State& state) {
+  const auto layout = static_cast<tensor::kernels::Layout>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const auto k = static_cast<std::size_t>(state.range(3));
+  const std::size_t a_rows = layout == tensor::kernels::Layout::TN ? k : m;
+  const std::size_t a_cols = layout == tensor::kernels::Layout::TN ? m : k;
+  const bool nt = layout == tensor::kernels::Layout::NT;
+  const auto a = random_matrix(a_rows, a_cols, 41);
+  const auto b = random_matrix(nt ? n : k, nt ? k : n, 42);
+  tensor::Matrix c;
+  for (auto _ : state) {
+    tensor::kernels::gemm(layout, a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  static const char* const kNames[] = {"NN", "TN", "NT"};
+  state.SetLabel(kNames[state.range(0)]);
+  state.counters["GFLOPS"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 2.0 *
+          static_cast<double>(m * n * k) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmTrainingShapes)
+    ->Apply(GemmTrainingShapeArgs)
+    ->ArgNames({"layout", "m", "n", "k"})
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PowerSpectrum(benchmark::State& state) {
   const auto xs = random_series(static_cast<std::size_t>(state.range(0)), 3);
   for (auto _ : state) {
@@ -226,18 +288,37 @@ void BM_Chi2Scores(benchmark::State& state) {
 }
 BENCHMARK(BM_Chi2Scores)->Arg(512)->Unit(benchmark::kMillisecond);
 
+// One training epoch (plus the detector's threshold pass) at a given input
+// width.  shipped:0 is the bench budget model ({64,24}/8, batch 32, no
+// validation) on 256 rows; shipped:1 is the library default the tools and
+// bench/e2e train (core::ProdigyConfig: {64,32}/8, batch 64, 20% validation)
+// on 112 rows, so its epoch is the e2e fit's: a 64-row and a 26-row step,
+// then the 22-row validation pass.
 void BM_VaeEpoch(benchmark::State& state) {
-  const auto X = random_matrix(256, static_cast<std::size_t>(state.range(0)), 7);
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const bool shipped = state.range(1) != 0;
+  const auto X = random_matrix(shipped ? 112 : 256, width, 7);
   for (auto _ : state) {
     state.PauseTiming();
-    bench::ModelOptions options;
-    options.epochs = 1;
-    core::ProdigyDetector detector(bench::prodigy_config(options));
+    core::ProdigyConfig config;
+    if (shipped) {
+      config.train.epochs = 1;
+    } else {
+      bench::ModelOptions options;
+      options.epochs = 1;
+      config = bench::prodigy_config(options);
+    }
+    core::ProdigyDetector detector(config);
     state.ResumeTiming();
     detector.fit_healthy(X);
   }
 }
-BENCHMARK(BM_VaeEpoch)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VaeEpoch)
+    ->Args({256, 0})
+    ->Args({1024, 0})
+    ->Args({2000, 1})
+    ->ArgNames({"width", "shipped"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IsolationForestFit(benchmark::State& state) {
   const auto X = random_matrix(static_cast<std::size_t>(state.range(0)), 256, 8);

@@ -90,7 +90,7 @@ void Usad::fit_healthy(const tensor::Matrix& X) {
     const double w_direct = 1.0 / n;
     const double w_adv = 1.0 - 1.0 / n;
     double epoch_loss = 0.0;
-    std::size_t batches = 0;
+    std::size_t epoch_rows = 0;
 
     for (const auto& batch : nn::make_batches(X.rows(), config.train.batch_size, rng)) {
       const tensor::Matrix x = X.select_rows(batch);
@@ -102,8 +102,8 @@ void Usad::fit_healthy(const tensor::Matrix& X) {
         const tensor::Matrix w1 = decoder1.forward(encoder.forward(x));
         nn::LossResult loss = nn::mse_loss(w1, x);
         loss.grad *= w_direct;
-        encoder.backward(decoder1.backward(loss.grad));
-        epoch_loss += w_direct * loss.value;
+        encoder.backward_params(decoder1.backward(loss.grad));
+        epoch_loss += w_direct * loss.value * static_cast<double>(x.rows());
       }
       // Adversarial term: (1-1/n) * ||x - D2(E(w1))||^2, gradient stopped
       // at w1 (treated as data for this pass).
@@ -112,8 +112,8 @@ void Usad::fit_healthy(const tensor::Matrix& X) {
         const tensor::Matrix w3 = decoder2.forward(encoder.forward(w1));
         nn::LossResult loss = nn::mse_loss(w3, x);
         loss.grad *= w_adv;
-        encoder.backward(decoder2.backward(loss.grad));
-        epoch_loss += w_adv * loss.value;
+        encoder.backward_params(decoder2.backward(loss.grad));
+        epoch_loss += w_adv * loss.value * static_cast<double>(x.rows());
         // decoder2's accumulated gradients are not in opt1 -> inert.
       }
       clip_all();
@@ -126,7 +126,7 @@ void Usad::fit_healthy(const tensor::Matrix& X) {
         const tensor::Matrix w2 = decoder2.forward(encoder.forward(x));
         nn::LossResult loss = nn::mse_loss(w2, x);
         loss.grad *= w_direct;
-        encoder.backward(decoder2.backward(loss.grad));
+        encoder.backward_params(decoder2.backward(loss.grad));
       }
       // Adversarial term: -(1-1/n) * ||x - D2(E(w1))||^2 (decoder2 learns to
       // *fail* to reconstruct AE1's output, isolating anomalies).
@@ -135,14 +135,16 @@ void Usad::fit_healthy(const tensor::Matrix& X) {
         const tensor::Matrix w3 = decoder2.forward(encoder.forward(w1));
         nn::LossResult loss = nn::mse_loss(w3, x);
         loss.grad *= -w_adv;
-        encoder.backward(decoder2.backward(loss.grad));
+        encoder.backward_params(decoder2.backward(loss.grad));
       }
       clip_all();
       opt2.step();
-      ++batches;
+      epoch_rows += x.rows();
     }
-    history_.train_loss.push_back(epoch_loss /
-                                  static_cast<double>(std::max<std::size_t>(1, batches)));
+    // Per-batch means weighted by rows, so a ragged tail batch counts for its
+    // rows rather than as much as a full batch.
+    history_.train_loss.push_back(
+        epoch_loss / static_cast<double>(std::max<std::size_t>(1, epoch_rows)));
     ++history_.epochs_run;
   }
 

@@ -32,7 +32,7 @@ std::vector<nn::LayerSpec> hidden_specs(const std::vector<std::size_t>& sizes,
 // forward_inference_into is safe.
 struct StepScratch {
   tensor::Matrix eps, sigma, z, grad_z, grad_mu, grad_logvar, grad_hidden,
-      grad_hidden2, grad_input_sink;
+      grad_hidden2;
 };
 struct InferScratch {
   tensor::Matrix h, mu, logvar, z, recon;
@@ -127,11 +127,12 @@ VariationalAutoencoder::StepResult VariationalAutoencoder::forward_backward(
     s.grad_logvar.data()[i] += config_.kl_weight * kl.grad_logvar.data()[i];
   }
 
-  // Backward through the two heads into the shared encoder trunk.
+  // Backward through the two heads into the shared encoder trunk, which
+  // stops at its parameter gradients: dL/dx of the data is never read.
   mu_head_.backward_into(s.grad_mu, s.grad_hidden);
   logvar_head_.backward_into(s.grad_logvar, s.grad_hidden2);
   s.grad_hidden += s.grad_hidden2;
-  encoder_.backward_into(s.grad_hidden, s.grad_input_sink);
+  encoder_.backward_params(s.grad_hidden);
 
   return {recon.value, kl.value};
 }

@@ -74,6 +74,11 @@ tensor::Matrix Dense::backward(const tensor::Matrix& grad_output) {
 
 void Dense::backward_into(const tensor::Matrix& grad_output,
                           tensor::Matrix& grad_input) {
+  backward_params(grad_output);
+  tensor::matmul_transposed_b_into(grad_pre_, weights_, grad_input);
+}
+
+void Dense::backward_params(const tensor::Matrix& grad_output) {
   grad_pre_.resize_for_overwrite(grad_output.rows(), grad_output.cols());
   std::copy(grad_output.data(), grad_output.data() + grad_output.size(),
             grad_pre_.data());
@@ -90,8 +95,6 @@ void Dense::backward_into(const tensor::Matrix& grad_output,
                         cached_input_.cols, grad_pre_.data(), grad_pre_.cols(),
                         weight_grad_.data(), weight_grad_.cols(), accumulate);
   tensor::kernels::column_sums_accumulate(grad_pre_, bias_grad_);
-
-  tensor::matmul_transposed_b_into(grad_pre_, weights_, grad_input);
 }
 
 void Dense::zero_gradients() noexcept {

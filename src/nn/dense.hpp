@@ -45,6 +45,11 @@ class Dense {
   void backward_into(const tensor::Matrix& grad_output,
                      tensor::Matrix& grad_input);
 
+  /// Parameter-only backward: accumulates the same weight/bias gradients as
+  /// backward_into() and stops there, skipping the dL/d(input) GEMM for a
+  /// layer whose input gradient nobody reads (a network's first layer).
+  void backward_params(const tensor::Matrix& grad_output);
+
   void zero_gradients() noexcept;
 
   tensor::Matrix& weights() noexcept { return weights_; }

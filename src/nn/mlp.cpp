@@ -76,10 +76,23 @@ void Mlp::backward_into(const tensor::Matrix& grad_output,
     grad_input = grad_output;
     return;
   }
+  backward_chain(grad_output, &grad_input);
+}
+
+void Mlp::backward_params(const tensor::Matrix& grad_output) {
+  backward_chain(grad_output, nullptr);
+}
+
+void Mlp::backward_chain(const tensor::Matrix& grad_output,
+                         tensor::Matrix* grad_input) {
   const tensor::Matrix* current = &grad_output;
   for (std::size_t step = 0; step < layers_.size(); ++step) {
     const std::size_t i = layers_.size() - 1 - step;
-    tensor::Matrix* dst = i == 0 ? &grad_input : &grad_scratch_[step % 2];
+    if (i == 0 && grad_input == nullptr) {
+      layers_[0].backward_params(*current);
+      return;
+    }
+    tensor::Matrix* dst = i == 0 ? grad_input : &grad_scratch_[step % 2];
     layers_[i].backward_into(*current, *dst);
     current = dst;
   }

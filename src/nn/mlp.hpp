@@ -57,6 +57,11 @@ class Mlp {
   void backward_into(const tensor::Matrix& grad_output,
                      tensor::Matrix& grad_input);
 
+  /// Parameter-only backward: accumulates every layer's gradients exactly
+  /// as backward_into() does but never forms dL/d(input), for a network
+  /// whose input is data (nothing upstream reads that gradient).
+  void backward_params(const tensor::Matrix& grad_output);
+
   void zero_gradients() noexcept;
 
   /// Registers every layer's parameters with the optimizer.
@@ -68,6 +73,11 @@ class Mlp {
   static Mlp load(util::BinaryReader& reader);
 
  private:
+  // The backward chain; a null `grad_input` stops the first layer after its
+  // parameter gradients.
+  void backward_chain(const tensor::Matrix& grad_output,
+                      tensor::Matrix* grad_input);
+
   std::size_t input_dim_ = 0;
   std::vector<Dense> layers_;
   tensor::Matrix grad_scratch_[2];  // backward ping-pong workspace

@@ -45,8 +45,18 @@ class Sgd final : public Optimizer {
   std::vector<std::vector<double>> velocity_;
 };
 
+/// Adam with bias correction.  step() treats the registered views as one
+/// concatenated parameter vector cut into kChunk-element chunks and updates
+/// the chunks across the global thread pool.  Every element's update is
+/// independent and runs the same IEEE operation sequence on any chunk, lane
+/// or thread, so the result is bit-identical for any pool size.
 class Adam final : public Optimizer {
  public:
+  /// Elements per chunk of the pool split (the last chunk is ragged; a
+  /// chunk may span several views).  A model of one chunk or less updates
+  /// inline on the calling thread.
+  static constexpr std::size_t kChunk = 8192;
+
   explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
                 double epsilon = 1e-8);
 
@@ -62,8 +72,9 @@ class Adam final : public Optimizer {
   double epsilon_;
   std::size_t t_ = 0;
   std::vector<ParamView> views_;
-  std::vector<std::vector<double>> m_;
-  std::vector<std::vector<double>> v_;
+  std::vector<std::size_t> offsets_;  // view k starts at offsets_[k] in m_/v_
+  std::vector<double> m_;             // first moments, all views concatenated
+  std::vector<double> v_;             // second moments, same layout
 };
 
 }  // namespace prodigy::nn

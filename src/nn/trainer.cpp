@@ -61,18 +61,20 @@ TrainHistory fit_reconstruction(Mlp& model, const tensor::Matrix& data,
 
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     double epoch_loss = 0.0;
-    std::size_t batch_count = 0;
+    std::size_t epoch_rows = 0;
     for (const auto& batch : make_batches(train.rows(), options.batch_size, rng)) {
       const tensor::Matrix x = train.select_rows(batch);
       model.zero_gradients();
       const tensor::Matrix reconstruction = model.forward(x);
       const LossResult loss = mse_loss(reconstruction, x);
-      model.backward(loss.grad);
+      model.backward_params(loss.grad);
       optimizer.step();
-      epoch_loss += loss.value;
-      ++batch_count;
+      // loss.value is a per-batch mean: weight it by rows so a ragged tail
+      // batch counts for its rows, not as much as a full batch.
+      epoch_loss += loss.value * static_cast<double>(x.rows());
+      epoch_rows += x.rows();
     }
-    epoch_loss /= std::max<std::size_t>(1, batch_count);
+    epoch_loss /= static_cast<double>(std::max<std::size_t>(1, epoch_rows));
     history.train_loss.push_back(epoch_loss);
     ++history.epochs_run;
 

@@ -31,10 +31,10 @@ namespace {
 // block to the stack, which the no-SIMD CI leg keeps honest).
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 16;
-// Column-panel width for cache blocking: a packed k x kNc B panel stays L2
-// resident while every row band of C streams across it.
+// Column-panel width for cache blocking: a k x kNc B panel stays L2
+// resident while a block's row tiles stream across it.
 constexpr std::size_t kNc = 512;
-// Flop threshold (m*n*k) above which the row/column banding is worth the
+// Flop threshold (m*n*k) above which the 2-D block fan-out is worth the
 // thread-pool dispatch.  Matches the historical ops.cpp threshold.
 constexpr std::size_t kParallelFlops = std::size_t{1} << 20;
 
@@ -228,13 +228,11 @@ void gemm(Layout layout, std::size_t m, std::size_t n, std::size_t k,
   // their rows are already contiguous in jj, and for every layer shape this
   // model family uses the whole B operand fits in L2, so a pack pass only
   // adds traffic (measured: ~10-25% slower on the dense-forward shapes).
-  // TN instead packs the strided A columns per row band below.
+  // TN instead packs the strided A columns per row tile below.
   const bool pack_b = k > 0 && layout == Layout::NT;
 
-  util::ThreadPool& tp = pool_ref;
-  const bool banded = m * n * k >= kParallelFlops && tp.size() > 1;
-
-  // One i-tile of C against the j-tiles [t0, t1) of the current panel.
+  // One i-tile of C against the j-tiles [t0, t1) of a packed panel (or of B
+  // in place when `panel` is null).
   auto run_i_tile = [&](std::size_t it, std::size_t t0, std::size_t t1,
                         const double* panel) {
     const std::size_t i0 = it * kMr;
@@ -276,40 +274,65 @@ void gemm(Layout layout, std::size_t m, std::size_t n, std::size_t k,
     }
   };
 
-  for (std::size_t t0 = 0; t0 < j_tiles; t0 += panel_tiles) {
-    const std::size_t t1 = std::min(j_tiles, t0 + panel_tiles);
-    const double* panel = nullptr;
-    if (pack_b) {
-      double* pb = Workspace::tls().pack_b((t1 - t0) * k * kNr);
-      for (std::size_t t = t0; t < t1; ++t) {
-        const std::size_t j0 = t * kNr;
-        const std::size_t nr = std::min(kNr, n - j0);
-        double* dst = pb + (t - t0) * k * kNr;
-        // Gather: packed(kk, jj) = B[(j0+jj)][kk].
-        for (std::size_t jj = 0; jj < nr; ++jj) {
-          const double* bcol = b + (j0 + jj) * ldb;
-          for (std::size_t kk = 0; kk < k; ++kk) dst[kk * kNr + jj] = bcol[kk];
-        }
+  // Block grid: C's tiles split into `bands` row bands x `groups` column
+  // groups, one pool task per block.  Above the flop threshold the grid
+  // grows to at least two blocks per worker (so one late-waking worker does
+  // not hold up the whole call), each time halving whichever block side is
+  // longer: a block stays as square as the tiles allow and each task
+  // streams the least of A and B.  A wide, short C (the decoder's 64 x 2000
+  // layers) splits into column groups, a tall one into row bands.
+  std::size_t bands = 1, groups = 1;
+  if (m * n * k >= kParallelFlops && pool_ref.size() > 1) {
+    while (bands * groups < 2 * pool_ref.size()) {
+      const std::size_t rows = (i_tiles + bands - 1) / bands * kMr;
+      const std::size_t cols = (j_tiles + groups - 1) / groups * kNr;
+      if (groups < j_tiles && (cols >= rows || bands == i_tiles)) {
+        groups = std::min(j_tiles, groups * 2);
+      } else if (bands < i_tiles) {
+        bands = std::min(i_tiles, bands * 2);
+      } else {
+        break;
       }
-      panel = pb;
     }
+  }
 
-    if (!banded) {
-      for (std::size_t it = 0; it < i_tiles; ++it) run_i_tile(it, t0, t1, panel);
-    } else if (i_tiles > 1) {
-      // Band over row tiles: each C element is still the one ascending-k
-      // sum computed by exactly one task, so any pool size gives identical
-      // bits.  The shared packed panel is read-only inside the fan-out.
-      util::parallel_for(
-          tp, 0, i_tiles,
-          [&](std::size_t it) { run_i_tile(it, t0, t1, panel); }, 1);
-    } else {
-      // Single row band but a wide panel (e.g. 1 x N streaming GEMM):
-      // band over column tiles instead.
-      util::parallel_for(
-          tp, t0, t1, [&](std::size_t t) { run_i_tile(0, t, t + 1, panel); },
-          1);
+  // A block walks its column group in cache panels of at most kNc columns;
+  // an NT task packs each panel into its own thread's workspace, so packing
+  // fans out with the compute.  Every C element is still the one
+  // ascending-k sum, computed by exactly one task: any grid and any pool
+  // size give identical bits.
+  auto run_block = [&](std::size_t block) {
+    const std::size_t band = block / groups;
+    const std::size_t group = block % groups;
+    const std::size_t it0 = band * i_tiles / bands;
+    const std::size_t it1 = (band + 1) * i_tiles / bands;
+    const std::size_t jt1 = (group + 1) * j_tiles / groups;
+    for (std::size_t t0 = group * j_tiles / groups; t0 < jt1; t0 += panel_tiles) {
+      const std::size_t t1 = std::min(jt1, t0 + panel_tiles);
+      const double* panel = nullptr;
+      if (pack_b) {
+        double* pb = Workspace::tls().pack_b((t1 - t0) * k * kNr);
+        for (std::size_t t = t0; t < t1; ++t) {
+          const std::size_t j0 = t * kNr;
+          const std::size_t nr = std::min(kNr, n - j0);
+          double* dst = pb + (t - t0) * k * kNr;
+          // Gather: packed(kk, jj) = B[(j0+jj)][kk].
+          for (std::size_t jj = 0; jj < nr; ++jj) {
+            const double* bcol = b + (j0 + jj) * ldb;
+            for (std::size_t kk = 0; kk < k; ++kk) dst[kk * kNr + jj] = bcol[kk];
+          }
+        }
+        panel = pb;
+      }
+      for (std::size_t it = it0; it < it1; ++it) run_i_tile(it, t0, t1, panel);
     }
+  };
+
+  const std::size_t blocks = bands * groups;
+  if (blocks == 1) {
+    run_block(0);
+  } else {
+    util::parallel_for(pool_ref, 0, blocks, run_block, 1);
   }
 }
 

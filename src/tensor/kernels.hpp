@@ -7,14 +7,15 @@
 //    shared by every layout; layouts differ only in how A is addressed and
 //    whether a B panel is packed first,
 //  - cache blocking over column panels (NC) so a B panel stays resident
-//    while every row band of C streams over it, with B-panel packing on the
-//    layouts/shapes where the panel would otherwise be strided or revisited,
-//  - thread-pool banding over rows of C (or column panels when C has too few
-//    rows), sized by a flop threshold.
+//    while a block's row tiles stream over it, with B-panel packing on the
+//    layout where the panel would otherwise be strided (NT),
+//  - one 2-D thread-pool rule above a flop threshold: C's tiles split into
+//    (row band x column group) blocks, at least two per worker, by halving
+//    the longer block side; each task packs what its block reads.
 //
 // Determinism contract: element C(i, j) is always the pure ascending-k sum
-// of its products, accumulated in registers and committed once.  Banding,
-// blocking, packing, and tile tails never change that order, so results are
+// of its products, accumulated in registers and committed once.  The block
+// grid, cache panels, packing, and tile tails never change that order, so results are
 // bit-identical for any thread-pool size and any batch height m — a window
 // scored alone (m = 1) matches the same row scored inside a training batch.
 // The kernels translation unit is compiled with -ffp-contract=off so full
@@ -71,8 +72,8 @@ class Workspace {
 /// C(m x n) = op(A) * op(B) with the epilogue fused in.  `lda`/`ldb`/`ldc`
 /// are row strides of the *physical* (row-major) operands:
 ///   NN: A is m x k, B is k x n;  TN: A is k x m;  NT: B is n x k.
-/// Banding runs on `pool` (nullptr = the global pool) above a flop
-/// threshold; results are identical for any pool size, including none.
+/// Blocks run on `pool` (nullptr = the global pool) above a flop threshold;
+/// results are identical for any pool size, including none.
 void gemm(Layout layout, std::size_t m, std::size_t n, std::size_t k,
           const double* a, std::size_t lda, const double* b, std::size_t ldb,
           double* c, std::size_t ldc, const Epilogue& epilogue = {},

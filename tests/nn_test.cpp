@@ -4,11 +4,13 @@
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/trainer.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
+#include <vector>
 
 namespace prodigy::nn {
 namespace {
@@ -244,6 +246,47 @@ TEST(MlpTest, EndToEndGradientCheck) {
   }
 }
 
+TEST(MlpTest, ParamOnlyBackwardTrainsBitIdentically) {
+  // Two copies of one network take the same Adam steps on the same batches,
+  // one through the full backward (whose input gradient is discarded) and
+  // one through the parameter-only backward; every weight must agree.
+  util::Rng rng(17);
+  const Mlp initial(6, {{9, Activation::ReLU}, {4, Activation::Tanh},
+                        {6, Activation::Linear}}, rng);
+  Mlp full = initial;
+  Mlp params_only = initial;
+  Adam full_opt(1e-2);
+  Adam params_opt(1e-2);
+  full.register_with(full_opt);
+  params_only.register_with(params_opt);
+
+  for (std::size_t step = 0; step < 8; ++step) {
+    Matrix x(5 + step % 3, 6);
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.gaussian();
+
+    full.zero_gradients();
+    const LossResult full_loss = mse_loss(full.forward(x), x);
+    full.backward(full_loss.grad);
+    full_opt.step();
+
+    params_only.zero_gradients();
+    const LossResult params_loss = mse_loss(params_only.forward(x), x);
+    params_only.backward_params(params_loss.grad);
+    params_opt.step();
+  }
+  for (std::size_t l = 0; l < full.layer_count(); ++l) {
+    const auto& w_full = full.layer(l).weights();
+    const auto& w_params = params_only.layer(l).weights();
+    for (std::size_t i = 0; i < w_full.size(); ++i) {
+      EXPECT_EQ(w_full.data()[i], w_params.data()[i]) << "layer " << l;
+    }
+    for (std::size_t j = 0; j < full.layer(l).bias().size(); ++j) {
+      EXPECT_EQ(full.layer(l).bias()[j], params_only.layer(l).bias()[j])
+          << "layer " << l;
+    }
+  }
+}
+
 TEST(MlpTest, SaveLoadRoundTrip) {
   util::Rng rng(8);
   const Mlp mlp(3, {{4, Activation::ReLU}, {3, Activation::Linear}}, rng);
@@ -370,6 +413,118 @@ TEST(OptimizerTest, AdamMinimizesQuadratic) {
   EXPECT_NEAR(param[0], 0.0, 1e-2);
 }
 
+// The textbook scalar Adam, element by element in registration order: the
+// oracle the chunked, vectorized, pool-split nn::Adam must match bit for bit.
+class ScalarAdam {
+ public:
+  explicit ScalarAdam(double lr) : lr_(lr) {}
+
+  void register_parameters(ParamView view) {
+    views_.push_back(view);
+    m_.emplace_back(view.size, 0.0);
+    v_.emplace_back(view.size, 0.0);
+  }
+
+  void step() {
+    ++t_;
+    const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+    const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+    for (std::size_t k = 0; k < views_.size(); ++k) {
+      auto& view = views_[k];
+      auto& m = m_[k];
+      auto& v = v_[k];
+      for (std::size_t i = 0; i < view.size; ++i) {
+        const double g = view.grad[i];
+        m[i] = beta1_ * m[i] + (1.0 - beta1_) * g;
+        v[i] = beta2_ * v[i] + (1.0 - beta2_) * g * g;
+        const double m_hat = m[i] / bias1;
+        const double v_hat = v[i] / bias2;
+        view.param[i] -= lr_ * m_hat / (std::sqrt(v_hat) + epsilon_);
+      }
+    }
+  }
+
+ private:
+  double lr_;
+  double beta1_ = 0.9;
+  double beta2_ = 0.999;
+  double epsilon_ = 1e-8;
+  std::size_t t_ = 0;
+  std::vector<ParamView> views_;
+  std::vector<std::vector<double>> m_;
+  std::vector<std::vector<double>> v_;
+};
+
+// Runs `steps` Adam steps over views of the given sizes through nn::Adam and
+// the scalar oracle on identical parameters and gradients, then compares
+// every parameter bit for bit.  Gradients change every step and span many
+// magnitudes (exact zeros included), so the first and second moments, the
+// bias corrections and the epsilon guard all take part.
+void expect_adam_matches_oracle(const std::vector<std::size_t>& sizes,
+                                std::size_t steps) {
+  util::Rng rng(321);
+  std::vector<std::vector<double>> params(sizes.size()), grads(sizes.size());
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    params[k].resize(sizes[k]);
+    grads[k].resize(sizes[k]);
+    for (auto& p : params[k]) p = rng.gaussian();
+  }
+  auto oracle_params = params;
+
+  Adam adam(1e-3);
+  ScalarAdam oracle(1e-3);
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    adam.register_parameters({params[k].data(), grads[k].data(), sizes[k]});
+    oracle.register_parameters(
+        {oracle_params[k].data(), grads[k].data(), sizes[k]});
+  }
+  const double scales[] = {1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e3, 0.0};
+  for (std::size_t step = 0; step < steps; ++step) {
+    for (auto& grad : grads) {
+      for (std::size_t i = 0; i < grad.size(); ++i) {
+        grad[i] = rng.gaussian() * scales[(i + 3 * step) % 7];
+      }
+    }
+    adam.step();
+    oracle.step();
+  }
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    for (std::size_t i = 0; i < sizes[k]; ++i) {
+      ASSERT_EQ(params[k][i], oracle_params[k][i])
+          << "view " << k << " (size " << sizes[k] << ") element " << i;
+    }
+  }
+}
+
+// View sizes: empty, single, a short vector tail, one below and one above a
+// chunk edge, and the shipped VAE's parameter count; alone (so a view is
+// split across pool tasks) and registered together (so chunks straddle
+// view boundaries).
+const std::vector<std::size_t> kAdamViewSizes = {
+    0, 1, 7, Adam::kChunk - 1, Adam::kChunk + 1, 263000};
+
+TEST(OptimizerParityTest, AdamMatchesScalarOracleOnMainThread) {
+  for (const std::size_t size : kAdamViewSizes) {
+    if (size == 263000) continue;  // covered by the combined run below
+    expect_adam_matches_oracle({size}, 50);
+  }
+  expect_adam_matches_oracle(kAdamViewSizes, 50);
+}
+
+TEST(OptimizerParityTest, AdamMatchesScalarOracleInsidePoolTask) {
+  // Inside a global-pool task the chunk fan-out runs inline, one chunk
+  // after another on this worker; the bits must not change.
+  util::ThreadPool::global()
+      .submit([] {
+        for (const std::size_t size : kAdamViewSizes) {
+          if (size == 263000) continue;
+          expect_adam_matches_oracle({size}, 50);
+        }
+        expect_adam_matches_oracle(kAdamViewSizes, 50);
+      })
+      .get();
+}
+
 TEST(TrainerTest, MakeBatchesPartitionsAllIndices) {
   util::Rng rng(9);
   const auto batches = make_batches(103, 32, rng);
@@ -419,6 +574,47 @@ TEST(TrainerTest, AutoencoderLearnsLowRankData) {
   ASSERT_FALSE(history.train_loss.empty());
   EXPECT_LT(history.train_loss.back(), history.train_loss.front() * 0.1);
   EXPECT_LT(history.train_loss.back(), 0.02);
+}
+
+// Regression for the ragged-batch epoch-loss bug (the VAE fit's twin in
+// vae_test.cpp): a 33-row epoch at batch size 16 runs batches of 16, 16 and
+// 1 rows, and the epoch loss must weight each per-batch mean by its rows.
+// With learning_rate 0 every Adam step is an exact no-op, so the epoch can
+// be replicated by hand against the initial weights.
+TEST(TrainerTest, EpochLossIsRowWeightedAcrossRaggedBatches) {
+  const std::size_t rows = 33;
+  util::Rng data_rng(12);
+  Matrix data(rows, 5);
+  for (std::size_t i = 0; i < data.size(); ++i) data.data()[i] = data_rng.gaussian();
+  Mlp model(5, {{7, Activation::ReLU}, {5, Activation::Linear}}, data_rng);
+  const Mlp initial = model;
+
+  TrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 16;
+  options.learning_rate = 0.0;
+  options.seed = 13;
+  const TrainHistory history = fit_reconstruction(model, data, options);
+  ASSERT_EQ(history.train_loss.size(), 1u);
+
+  // fit_reconstruction's RNG order: the permutation (drawn even with no
+  // validation split), then the epoch's batch shuffle.
+  util::Rng rng(options.seed);
+  const auto perm = rng.permutation(rows);
+  const Matrix train = data.select_rows(perm);
+  const auto batches = make_batches(rows, options.batch_size, rng);
+  ASSERT_EQ(batches.size(), 3u);
+  double weighted = 0.0;
+  double unweighted = 0.0;
+  for (const auto& batch : batches) {
+    const Matrix x = train.select_rows(batch);
+    const double loss = mse_loss(initial.forward_inference(x), x).value;
+    weighted += loss * static_cast<double>(x.rows());
+    unweighted += loss;
+  }
+  EXPECT_DOUBLE_EQ(history.train_loss[0], weighted / static_cast<double>(rows));
+  EXPECT_NE(history.train_loss[0],
+            unweighted / static_cast<double>(batches.size()));
 }
 
 TEST(TrainerTest, ValidationSplitAndEarlyStoppingRecorded) {

@@ -306,6 +306,53 @@ TEST(KernelDeterminismTest, PoolSizeDoesNotChangeBits) {
   }
 }
 
+TEST(KernelDeterminismTest, TrainingShapesMatchNaiveOnEveryPool) {
+  // The shipped VAE's training GEMMs (2000 features, 64-wide first/last
+  // layers, batch steps of 64 and 26 rows), in every layout: wide and short
+  // (m x 2000 with k = 64), tall (2000 x 64 with k = batch) and long-k
+  // (64 x 64 with k = 2000).  Each clears the flop threshold, so the 2-D
+  // block grid splits it differently on every pool size; with the plain,
+  // accumulate and bias+ReLU epilogues each must equal the oracle exactly.
+  const std::vector<Shape> shapes = {
+      {26, 2000, 64}, {64, 2000, 64}, {2000, 64, 26}, {2000, 64, 64}, {64, 64, 2000}};
+  prodigy::util::ThreadPool pool1(1), pool2(2), pool7(7);
+  prodigy::util::ThreadPool* const pools[] = {&pool1, &pool2, &pool7};
+  prodigy::util::Rng rng(2024);
+  for (const Layout layout : kLayouts) {
+    for (const auto& s : shapes) {
+      std::size_t ar = 0, ac = 0, br = 0, bc = 0;
+      physical_shapes(layout, s.m, s.n, s.k, ar, ac, br, bc);
+      const Matrix a = random_matrix(ar, ac, rng);
+      const Matrix b = random_matrix(br, bc, rng);
+      const Matrix c0 = random_matrix(s.m, s.n, rng);
+      std::vector<double> bias(s.n);
+      for (auto& v : bias) v = rng.gaussian();
+
+      Epilogue plain;
+      Epilogue accumulate;
+      accumulate.accumulate = true;
+      Epilogue bias_relu;
+      bias_relu.bias = bias.data();
+      bias_relu.act = FusedAct::ReLU;
+      for (const Epilogue* ep : {&plain, &accumulate, &bias_relu}) {
+        const Matrix expected = run_naive(layout, a, b, s.m, s.n, s.k, *ep, &c0);
+        for (prodigy::util::ThreadPool* pool : pools) {
+          Matrix c = c0;
+          kernels::gemm(layout, s.m, s.n, s.k, a.data(), a.cols(), b.data(),
+                        b.cols(), c.data(), c.cols(), *ep, pool);
+          for (std::size_t i = 0; i < c.size(); ++i) {
+            ASSERT_EQ(c.data()[i], expected.data()[i])
+                << "layout=" << static_cast<int>(layout) << " m=" << s.m
+                << " n=" << s.n << " k=" << s.k << " workers=" << pool->size()
+                << " accumulate=" << ep->accumulate
+                << " bias=" << (ep->bias != nullptr) << " elem=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelDeterminismTest, RowScoredAloneMatchesRowInBatch) {
   // The streaming guarantee: a 1 x k GEMM of one row is bit-identical to the
   // same row inside an m x k batch, for every layout-relevant path (packed

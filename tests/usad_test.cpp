@@ -1,6 +1,7 @@
 #include "baselines/usad.hpp"
 
 #include "eval/metrics.hpp"
+#include "nn/loss.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
@@ -87,6 +88,51 @@ TEST(UsadTest, DefaultThresholdFlagsFewTrainingSamples) {
   std::size_t flagged = 0;
   for (const int p : usad.predict(X)) flagged += p;
   EXPECT_LE(flagged, X.rows() / 20);  // ~1% by the 99th-percentile threshold
+}
+
+// Regression for the ragged-batch epoch-loss bug (the VAE fit's twin in
+// vae_test.cpp): 33 rows at batch size 16 run batches of 16, 16 and 1 rows,
+// and each per-batch mean must count for its rows.  In epoch 1 the
+// adversarial weight 1 - 1/n is 0, so the epoch loss is the row-weighted
+// AE1 reconstruction MSE; with learning_rate 0 every Adam step is an exact
+// no-op, so the epoch is replicated against networks rebuilt from the seed.
+TEST(UsadTest, EpochLossIsRowWeightedAcrossRaggedBatches) {
+  const std::size_t rows = 33, dims = 6;
+  auto [X, y] = testing::blob_dataset(rows, 0, dims, 0.0, 3);
+  UsadConfig config;
+  config.hidden = 10;
+  config.latent = 4;
+  config.train.epochs = 1;
+  config.train.batch_size = 16;
+  config.train.learning_rate = 0.0;
+  config.train.seed = 13;
+  Usad usad(config);
+  usad.fit_healthy(X);
+  ASSERT_EQ(usad.history().train_loss.size(), 1u);
+
+  // fit_healthy's RNG order: encoder, decoder1 and decoder2 weights, then
+  // the epoch's batch shuffle.
+  util::Rng rng(config.train.seed);
+  const nn::Activation act = nn::Activation::ReLU;
+  const nn::Mlp encoder(dims, {{10, act}, {4, act}}, rng);
+  const nn::Mlp decoder1(4, {{10, act}, {dims, nn::Activation::Linear}}, rng);
+  const nn::Mlp decoder2(4, {{10, act}, {dims, nn::Activation::Linear}}, rng);
+  const auto batches = nn::make_batches(rows, config.train.batch_size, rng);
+  ASSERT_EQ(batches.size(), 3u);
+  double weighted = 0.0;
+  double unweighted = 0.0;
+  for (const auto& batch : batches) {
+    const tensor::Matrix x = X.select_rows(batch);
+    const tensor::Matrix w1 =
+        decoder1.forward_inference(encoder.forward_inference(x));
+    const double loss = nn::mse_loss(w1, x).value;
+    weighted += loss * static_cast<double>(x.rows());
+    unweighted += loss;
+  }
+  EXPECT_DOUBLE_EQ(usad.history().train_loss[0],
+                   weighted / static_cast<double>(rows));
+  EXPECT_NE(usad.history().train_loss[0],
+            unweighted / static_cast<double>(batches.size()));
 }
 
 }  // namespace

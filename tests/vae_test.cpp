@@ -1,8 +1,10 @@
 #include "core/vae.hpp"
 
+#include "core/prodigy_detector.hpp"
 #include "nn/loss.hpp"
 #include "test_helpers.hpp"
 #include "tensor/stats.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
@@ -253,10 +255,11 @@ std::string read_file_bytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-std::string serialized_bytes(const auto& component) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "prodigy_vae_component.bin")
-          .string();
+// `file` is the scratch file's name in the temp directory; tests that ctest
+// may run concurrently must not share one.
+std::string serialized_bytes(const auto& component,
+                             const char* file = "prodigy_vae_component.bin") {
+  const auto path = (std::filesystem::temp_directory_path() / file).string();
   {
     util::BinaryWriter writer(path);
     component.save(writer);
@@ -267,6 +270,32 @@ std::string serialized_bytes(const auto& component) {
 }
 
 }  // namespace
+
+// The shipped architecture (ProdigyConfig's {64,32}/8 VAE at batch 64 with a
+// 20% validation split) on 112 x 2000 data, so each epoch runs a 64- and a
+// 26-row step through the 2-D-blocked wide GEMMs and the chunk-split Adam
+// over 263k parameters.  Fitted on the calling thread (both fan out across
+// the global pool) and inside a global-pool task (every nested fan-out runs
+// inline, serially), the saved bytes and the threshold must be identical.
+TEST(VaeDeterminismTest, ShippedArchitectureFitIsPoolIndependent) {
+  const auto data = manifold_data(112, 2000, 21);
+  ProdigyConfig config;
+  config.train.epochs = 3;
+  const auto fit = [&] {
+    ProdigyDetector detector(config);
+    detector.fit_healthy(data);
+    return detector;
+  };
+  const ProdigyDetector parallel = fit();
+  ProdigyDetector serial;
+  util::ThreadPool::global().submit([&] { serial = fit(); }).get();
+
+  ASSERT_EQ(parallel.vae().parameter_count(), 263'072u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.threshold()),
+            std::bit_cast<std::uint64_t>(parallel.threshold()));
+  EXPECT_EQ(serialized_bytes(serial, "prodigy_vae_fit_serial.bin"),
+            serialized_bytes(parallel, "prodigy_vae_fit_parallel.bin"));
+}
 
 TEST(VaeTest, LoadRejectsMismatchedHeadDimensions) {
   // Compose a byte-level corrupt model: a valid save with its mu head
