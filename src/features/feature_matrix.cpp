@@ -60,6 +60,11 @@ std::vector<std::string> feature_column_names(
 }
 
 std::vector<double> extract_node_features(const tensor::Matrix& values) {
+  return extract_node_features(values, FeaturePlan{});
+}
+
+std::vector<double> extract_node_features(const tensor::Matrix& values,
+                                          const FeaturePlan& plan) {
   util::StageTimer stage("features.extract");
   const std::size_t metrics = values.cols();
   const std::size_t rows = values.rows();
@@ -71,13 +76,15 @@ std::vector<double> extract_node_features(const tensor::Matrix& values) {
   // independent -> parallel; each worker keeps a thread-local scratch so the
   // gather/sort/FFT buffers are allocated once per thread, not per metric.
   util::parallel_for(0, metrics, [&](std::size_t m) {
+    const MetricPlan& metric_plan = plan.metric(m);
+    if (!metric_plan.any) return;  // its slots stay 0.0
     thread_local FeatureScratch scratch;
     scratch.column.resize(rows);
     for (std::size_t t = 0; t < rows; ++t) scratch.column[t] = values(t, m);
     compute_all_features(
         scratch.column,
         std::span<double>(features.data() + m * per_metric, per_metric),
-        scratch);
+        scratch, metric_plan);
   });
   return features;
 }

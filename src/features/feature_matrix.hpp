@@ -46,6 +46,11 @@ std::vector<std::string> feature_column_names(
 /// Output length = M * features_per_metric(), ordered metric-major.
 std::vector<double> extract_node_features(const tensor::Matrix& values);
 
+/// Same layout, computing only the features `plan` reads (the other slots
+/// are 0.0); every planned feature is bit-identical to the full extraction.
+std::vector<double> extract_node_features(const tensor::Matrix& values,
+                                          const FeaturePlan& plan);
+
 /// Concatenates datasets with identical columns (rows appended in order).
 FeatureDataset concat(const FeatureDataset& a, const FeatureDataset& b);
 

@@ -9,6 +9,16 @@
 #include <cmath>
 #include <memory>
 #include <numbers>
+#include <utility>
+
+// This TU gets the feature kernels' flags (-ffp-contract=off plus the kernel
+// -march and -fopenmp-simd), so the hinted loops below widen without
+// changing any rounding; under PRODIGY_NO_SIMD the same loops run scalar.
+#if defined(PRODIGY_NO_SIMD)
+#define PRODIGY_SIMD
+#else
+#define PRODIGY_SIMD _Pragma("omp simd")
+#endif
 
 namespace prodigy::features {
 
@@ -16,25 +26,40 @@ namespace {
 
 /// Tables for a real transform of length n = 2^b >= 2 (an m = n/2-point
 /// complex FFT plus a split step): the m-point bit-reversal permutation and
-/// w^j = e^{-2 pi i j / n}, j < m, each from its own exact angle.
+/// w^j = e^{-2 pi i j / n}, j < m, each from its own exact angle.  The
+/// butterfly stage of half-width h reads w^{k m / h}, k < h; `stage_re` /
+/// `stage_im` hold copies of those values at [h - 1, 2h - 1), so every
+/// stage reads its twiddles with unit stride.
 struct FftPlan {
   std::vector<std::size_t> bitrev;
-  std::vector<std::complex<double>> twiddle;
+  std::vector<double> w_re, w_im;
+  util::AlignedVec<double> stage_re, stage_im;
 };
 
 FftPlan make_plan(std::size_t n) {
   const std::size_t m = n / 2;
-  FftPlan plan{std::vector<std::size_t>(m, 0),
-               std::vector<std::complex<double>>(m)};
+  FftPlan plan;
+  plan.bitrev.assign(m, 0);
   for (std::size_t i = 1, j = 0; i < m; ++i) {
     std::size_t bit = m >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
     plan.bitrev[i] = j ^= bit;
   }
+  plan.w_re.resize(m);
+  plan.w_im.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
     const double angle = -2.0 * std::numbers::pi * static_cast<double>(j) /
                          static_cast<double>(n);
-    plan.twiddle[j] = {std::cos(angle), std::sin(angle)};
+    plan.w_re[j] = std::cos(angle);
+    plan.w_im[j] = std::sin(angle);
+  }
+  plan.stage_re.resize(m > 0 ? m - 1 : 0);
+  plan.stage_im.resize(plan.stage_re.size());
+  for (std::size_t h = 1; h < m; h <<= 1) {
+    for (std::size_t k = 0; k < h; ++k) {
+      plan.stage_re[h - 1 + k] = plan.w_re[k * (m / h)];
+      plan.stage_im[h - 1 + k] = plan.w_im[k * (m / h)];
+    }
   }
   return plan;
 }
@@ -57,10 +82,13 @@ const FftPlan& plan_for(std::size_t log2n) {
   return *plan;
 }
 
+/// Butterfly stages h < this run in natural order (see power_spectrum).
+constexpr std::size_t kNaturalOrderStages = 8;
+
 }  // namespace
 
 void power_spectrum(std::span<const double> xs,
-                    util::AlignedVec<std::complex<double>>& fft_buffer,
+                    util::AlignedVec<double>& fft_buffer,
                     util::AlignedVec<double>& power) {
   const double mean = tensor::mean(xs);  // 0 for an empty series
   if (xs.size() < 2) {
@@ -81,29 +109,80 @@ void power_spectrum(std::span<const double> xs,
   while ((std::size_t{1} << log2n) < xs.size()) ++log2n;
   const std::size_t m = (std::size_t{1} << log2n) / 2;
   const FftPlan& plan = plan_for(log2n);
-  const std::complex<double>* w = plan.twiddle.data();
 
-  // z_j = x_{2j} + i x_{2j+1} (mean-removed, zero-padded), bit-reversed.
-  fft_buffer.resize(m);
-  std::complex<double>* z = fft_buffer.data();
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::size_t i = 2 * j;
-    z[plan.bitrev[j]] = {i < xs.size() ? xs[i] - mean : 0.0,
-                         i + 1 < xs.size() ? xs[i + 1] - mean : 0.0};
+  // z_j = x_{2j} + i x_{2j+1} (mean-removed, zero-padded), in natural
+  // order, split into real and imaginary arrays.
+  fft_buffer.resize(2 * m);
+  double* re = fft_buffer.data();
+  double* im = re + m;
+  const double* x = xs.data();
+  const std::size_t pairs = xs.size() / 2;
+  PRODIGY_SIMD
+  for (std::size_t j = 0; j < pairs; ++j) {
+    re[j] = x[2 * j] - mean;
+    im[j] = x[2 * j + 1] - mean;
+  }
+  for (std::size_t j = pairs; j < m; ++j) {
+    re[j] = 2 * j < xs.size() ? x[2 * j] - mean : 0.0;
+    im[j] = 0.0;
   }
 
-  // Radix-2 decimation-in-time butterflies; stage h uses w^{k m / h}.
-  for (std::size_t h = 1; h < m; h <<= 1) {
-    const std::size_t stride = m / h;
+  // Radix-2 decimation-in-time butterflies: stage h pairs positions p and
+  // p + h of the bit-reversed sequence with twiddle w^{k m / h}, k = p mod h.
+  // Each element keeps the complex product's mul/add sequence (contraction
+  // is off for this TU), so vector lanes round like the scalar loop, and
+  // the memory order a butterfly runs in cannot change its bits.
+  const auto butterfly = [](double& ar, double& ai, double& br, double& bi,
+                            double wr, double wi) {
+    const double tr = br * wr - bi * wi;
+    const double ti = br * wi + bi * wr;
+    const double xr = ar;
+    const double xi = ai;
+    ar = xr + tr;
+    ai = xi + ti;
+    br = xr - tr;
+    bi = xi - ti;
+  };
+  // The first stages run before the bit reversal, where their butterflies
+  // form long unit-stride runs: in natural order stage h pairs j with
+  // j + m / (2h) inside blocks of m / h, block q taking k = the log2(h)-bit
+  // reversal of q.  The remaining stages run on the bit-reversed sequence,
+  // whose runs (length h) are long by then.
+  std::size_t h = 1;
+  for (; h < m && h < kNaturalOrderStages; h <<= 1) {
+    const std::size_t half = m / (2 * h);
+    for (std::size_t q = 0; q < h; ++q) {
+      const std::size_t k = plan.bitrev[q] / (m / h);
+      const double wr = plan.stage_re[h - 1 + k];
+      const double wi = plan.stage_im[h - 1 + k];
+      double* ar = re + 2 * q * half;
+      double* ai = im + 2 * q * half;
+      double* br = ar + half;
+      double* bi = ai + half;
+      PRODIGY_SIMD
+      for (std::size_t j = 0; j < half; ++j) {
+        butterfly(ar[j], ai[j], br[j], bi[j], wr, wi);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::size_t j = plan.bitrev[i];
+    if (i < j) {
+      std::swap(re[i], re[j]);
+      std::swap(im[i], im[j]);
+    }
+  }
+  for (; h < m; h <<= 1) {
+    const double* wr = plan.stage_re.data() + (h - 1);
+    const double* wi = plan.stage_im.data() + (h - 1);
     for (std::size_t base = 0; base < m; base += 2 * h) {
+      double* ar = re + base;
+      double* ai = im + base;
+      double* br = ar + h;
+      double* bi = ai + h;
+      PRODIGY_SIMD
       for (std::size_t k = 0; k < h; ++k) {
-        const std::complex<double> a = z[base + k];
-        const std::complex<double> b = z[base + k + h];
-        const std::complex<double> t = w[k * stride];
-        const double tr = b.real() * t.real() - b.imag() * t.imag();
-        const double ti = b.real() * t.imag() + b.imag() * t.real();
-        z[base + k] = {a.real() + tr, a.imag() + ti};
-        z[base + k + h] = {a.real() - tr, a.imag() - ti};
+        butterfly(ar[k], ai[k], br[k], bi[k], wr[k], wi[k]);
       }
     }
   }
@@ -112,26 +191,27 @@ void power_spectrum(std::span<const double> xs,
   // O_k = -i (Z_k - conj Z_{m-k}) / 2 (the even/odd-sample transforms),
   // X_k = E_k + w^k O_k and X_{m-k} = conj(E_k - w^k O_k).
   power.resize(m + 1);
-  const std::complex<double> z0 = z[0];
-  power[0] = (z0.real() + z0.imag()) * (z0.real() + z0.imag());
-  power[m] = (z0.real() - z0.imag()) * (z0.real() - z0.imag());
-  if (m >= 2) power[m / 2] = std::norm(z[m / 2]);
-  for (std::size_t k = 1; 2 * k < m; ++k) {
-    const std::complex<double> a = z[k];
-    const std::complex<double> b = z[m - k];
-    const double er = 0.5 * (a.real() + b.real());
-    const double ei = 0.5 * (a.imag() - b.imag());
-    const double orr = 0.5 * (a.imag() + b.imag());
-    const double oi = 0.5 * (b.real() - a.real());
-    const double tr = w[k].real() * orr - w[k].imag() * oi;
-    const double ti = w[k].real() * oi + w[k].imag() * orr;
-    power[k] = (er + tr) * (er + tr) + (ei + ti) * (ei + ti);
-    power[m - k] = (er - tr) * (er - tr) + (ei - ti) * (ei - ti);
+  double* out = power.data();
+  out[0] = (re[0] + im[0]) * (re[0] + im[0]);
+  out[m] = (re[0] - im[0]) * (re[0] - im[0]);
+  if (m >= 2) out[m / 2] = re[m / 2] * re[m / 2] + im[m / 2] * im[m / 2];
+  const double* wr = plan.w_re.data();
+  const double* wi = plan.w_im.data();
+  PRODIGY_SIMD
+  for (std::size_t k = 1; k < m / 2; ++k) {
+    const double er = 0.5 * (re[k] + re[m - k]);
+    const double ei = 0.5 * (im[k] - im[m - k]);
+    const double orr = 0.5 * (im[k] + im[m - k]);
+    const double oi = 0.5 * (re[m - k] - re[k]);
+    const double tr = wr[k] * orr - wi[k] * oi;
+    const double ti = wr[k] * oi + wi[k] * orr;
+    out[k] = (er + tr) * (er + tr) + (ei + ti) * (ei + ti);
+    out[m - k] = (er - tr) * (er - tr) + (ei - ti) * (ei - ti);
   }
 }
 
 std::vector<double> power_spectrum(std::span<const double> xs) {
-  util::AlignedVec<std::complex<double>> buffer;
+  util::AlignedVec<double> buffer;
   util::AlignedVec<double> power;
   power_spectrum(xs, buffer, power);
   return {power.begin(), power.end()};
@@ -141,7 +221,8 @@ SpectralSummary spectral_summary(std::span<const double> xs) {
   return spectral_summary_from_power(power_spectrum(xs));
 }
 
-SpectralSummary spectral_summary_from_power(std::span<const double> power) {
+SpectralSummary spectral_summary_from_power(std::span<const double> power,
+                                            bool entropy) {
   // The weighted sums run through the fixed-lane feature kernels (power is
   // finite and non-negative by construction), with the per-element
   // normalizations folded into one final divide each; the entropy pass
@@ -162,14 +243,16 @@ SpectralSummary spectral_summary_from_power(std::span<const double> power) {
       std::sqrt(kernels::freq_spread_sum(power, inv_bins, centroid) / total);
 
   std::size_t peak_bin = 0;
-  double entropy = 0.0;
-  for (std::size_t k = 0; k < power.size(); ++k) {
+  for (std::size_t k = 1; k < power.size(); ++k) {
     if (power[k] > power[peak_bin]) peak_bin = k;
-    const double p = power[k] / total;
-    if (p > 0.0) entropy -= p * std::log(p);
   }
   summary.peak_frequency = static_cast<double>(peak_bin) / bins;
-  summary.entropy = entropy;
+  if (entropy) {
+    for (const double bin : power) {
+      const double p = bin / total;
+      if (p > 0.0) summary.entropy -= p * std::log(p);
+    }
+  }
 
   // Band powers: the bucket map min(3, floor(k / bins * 4)) is monotone
   // non-decreasing in k, so each band is a contiguous bin range; three

@@ -4,7 +4,6 @@
 
 #include "util/aligned.hpp"
 
-#include <complex>
 #include <span>
 #include <vector>
 
@@ -16,13 +15,14 @@ namespace prodigy::features {
 std::vector<double> power_spectrum(std::span<const double> xs);
 
 /// Scratch-reusing variant: fills `power` with the one-sided spectrum using
-/// `fft_buffer` as the transform workspace.  Both buffers are resized as
-/// needed and keep their capacity across calls, so repeated extraction
+/// `fft_buffer` as the transform workspace (the real parts of the N/2-point
+/// complex transform, then its imaginary parts).  Both buffers are resized
+/// as needed and keep their capacity across calls, so repeated extraction
 /// (extract_node_features' per-thread scratch) does not allocate.  The
 /// buffers are the 64-byte-aligned scratch type so spectra can feed the
 /// feature-kernel TU's vector loads unsplit.
 void power_spectrum(std::span<const double> xs,
-                    util::AlignedVec<std::complex<double>>& fft_buffer,
+                    util::AlignedVec<double>& fft_buffer,
                     util::AlignedVec<double>& power);
 
 struct SpectralSummary {
@@ -37,6 +37,9 @@ struct SpectralSummary {
 SpectralSummary spectral_summary(std::span<const double> xs);
 
 /// Summary aggregates from an already-computed one-sided power spectrum.
-SpectralSummary spectral_summary_from_power(std::span<const double> power);
+/// `entropy = false` skips the entropy pass (one log per bin) and leaves
+/// `entropy` at 0; every other field is unchanged.
+SpectralSummary spectral_summary_from_power(std::span<const double> power,
+                                            bool entropy = true);
 
 }  // namespace prodigy::features

@@ -156,6 +156,9 @@ struct IncrementalNodeExtractor::MetricState {
   std::vector<double> raw;
   std::vector<double> pre;
   std::vector<std::uint8_t> tainted;
+  // benford_first_digit of each pre slot's g, written at push so the
+  // retiring row and the counter window's first g need no recount.
+  std::vector<std::uint8_t> digit;
 
   // Gap resolution.  Non-finite raw rows are held out of the accumulators
   // (only their positions are remembered) until the next finite sample
@@ -248,6 +251,7 @@ struct IncrementalMetrics {
 struct IncrementalNodeExtractor::Impl {
   std::size_t cols = 0;
   IncrementalConfig config;
+  FeaturePlan plan;
   std::vector<std::uint8_t> is_counter;
   std::vector<MetricState> states;
   // Window position -> index in approximate entropy's (subsampled) series,
@@ -265,6 +269,7 @@ struct IncrementalNodeExtractor::Impl {
     st.raw.assign(W, 0.0);
     st.pre.assign(W + 1, 0.0);
     st.tainted.assign(W, 0);
+    st.digit.assign(W + 1, 0);
     st.peak_flags.assign(W, 0);
   }
 
@@ -273,15 +278,16 @@ struct IncrementalNodeExtractor::Impl {
                      std::uint64_t q);
   void rebuild_state(MetricState& st, std::uint64_t end) const;
   Emission extract_metric(MetricState& st, std::size_t m,
-                          std::span<double> out, FeatureScratch& scratch,
-                          std::uint64_t end);
+                          const MetricPlan& plan, std::span<double> out,
+                          FeatureScratch& scratch, std::uint64_t end);
 };
 
 void IncrementalNodeExtractor::Impl::push_raw(MetricState& st, std::size_t m,
                                               double x, std::uint64_t p) {
   const std::size_t W = config.window;
-  st.raw[static_cast<std::size_t>(p % W)] = x;
-  st.tainted[static_cast<std::size_t>(p % W)] = std::isfinite(x) ? 0 : 1;
+  const auto slot = static_cast<std::size_t>(p % W);
+  st.raw[slot] = x;
+  st.tainted[slot] = std::isfinite(x) ? 0 : 1;
   if (!std::isfinite(x)) {
     if (!st.in_gap) {
       st.in_gap = true;
@@ -317,12 +323,17 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
                                                    std::size_t m, double value,
                                                    std::uint64_t q) {
   const std::size_t W = config.window;
+  const std::size_t cap = W + 1;
+  // Row q's slot in the W + 1 rings; every other slot this push touches is
+  // an offset from it (or from q's slot in the W-row flag ring).
+  const auto slot = static_cast<std::size_t>(q % cap);
   if (q >= W) {
-    // Retire row q - W: read everything before this push overwrites slots.
-    const double g_old = st.pre[static_cast<std::size_t>((q - W) % (W + 1))];
-    st.sum_shift -= g_old - st.k_shift;
-    if (const int d = benford_first_digit(g_old); d != 0) {
-      --st.digit_counts[static_cast<std::size_t>(d - 1)];
+    // Retire row q - W (q - W = q + 1 mod W + 1): read everything before
+    // this push overwrites slots.
+    const std::size_t old = slot + 1 == cap ? 0 : slot + 1;
+    st.sum_shift -= st.pre[old] - st.k_shift;
+    if (const std::uint8_t d = st.digit[old]; d != 0) {
+      --st.digit_counts[d - 1];
       --st.digit_counted;
     }
   }
@@ -338,11 +349,13 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
   st.last_raw = value;
   st.has_raw = true;
 
-  st.pre[static_cast<std::size_t>(q % (W + 1))] = g;
+  st.pre[slot] = g;
   st.sum_shift += g - st.k_shift;
   if (!st.needs_rebuild) st.sorted.push(g, q);
-  if (const int d = benford_first_digit(g); d != 0) {
-    ++st.digit_counts[static_cast<std::size_t>(d - 1)];
+  const auto digit = static_cast<std::uint8_t>(benford_first_digit(g));
+  st.digit[slot] = digit;
+  if (digit != 0) {
+    ++st.digit_counts[digit - 1];
     ++st.digit_counted;
   }
 
@@ -352,12 +365,13 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
   // The pre ring (capacity W + 1) still holds all 2s + 1 rows involved
   // whenever the support is usable at all (W >= 2s + 1).
   {
-    const std::size_t cap = W + 1;
+    const auto flag_slot = static_cast<std::size_t>(q % W);
     for (std::size_t b = 0; b < kPeakSupportCount; ++b) {
       const std::size_t s = kPeakSupports[b];
       if (W < 2 * s + 1 || q < 2 * s) continue;
-      const std::uint64_t t = q - s;
-      const std::size_t tc = static_cast<std::size_t>(t % cap);
+      // Row t = q - s in both rings (s < W < cap).
+      const std::size_t tc = slot >= s ? slot - s : slot + cap - s;
+      const std::size_t tw = flag_slot >= s ? flag_slot - s : flag_slot + W - s;
       const double centre = st.pre[tc];
       bool is_peak = true;
       std::size_t li = tc, ri = tc;
@@ -369,9 +383,9 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
           break;
         }
       }
-      auto& slot = st.peak_flags[static_cast<std::size_t>(t % W)];
+      auto& flags = st.peak_flags[tw];
       const auto bit = static_cast<std::uint8_t>(1u << b);
-      slot = static_cast<std::uint8_t>((slot & ~bit) | (is_peak ? bit : 0u));
+      flags = static_cast<std::uint8_t>((flags & ~bit) | (is_peak ? bit : 0u));
     }
   }
 
@@ -424,8 +438,8 @@ void IncrementalNodeExtractor::Impl::rebuild_state(MetricState& st,
 }
 
 Emission IncrementalNodeExtractor::Impl::extract_metric(
-    MetricState& st, std::size_t m, std::span<double> out,
-    FeatureScratch& scratch, std::uint64_t end) {
+    MetricState& st, std::size_t m, const MetricPlan& plan,
+    std::span<double> out, FeatureScratch& scratch, std::uint64_t end) {
   const std::size_t W = config.window;
   const std::uint64_t start = end - W;
   const bool counter = is_counter[m] != 0;
@@ -447,7 +461,7 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
     copy_ring(st.raw, start, W, scratch.column.data());
     if (config.interpolate) linear_interpolate(scratch.column);
     if (counter) counter_to_rate_inplace(scratch.column);
-    compute_all_features(scratch.column, out, scratch);
+    compute_all_features(scratch.column, out, scratch, plan);
     st.sorted.clear();
     st.needs_rebuild = true;
     return Emission::kExactFallback;
@@ -620,8 +634,9 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
   std::array<std::uint32_t, 9> digits = st.digit_counts;
   std::uint32_t counted = st.digit_counted;
   if (counter) {
-    if (const int d = benford_first_digit(g_s); d != 0) {
-      --digits[static_cast<std::size_t>(d - 1)];
+    const auto first = static_cast<std::size_t>(start % (W + 1));
+    if (const std::uint8_t d = st.digit[first]; d != 0) {
+      --digits[d - 1];
       --counted;
     }
     if (const int d = benford_first_digit(f0); d != 0) {
@@ -638,8 +653,9 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
   // positions the subsample skips, the last kApEnDim - 1 series positions,
   // and (counters) position 0, whose g is not f[0], drop out.  The
   // counter's f[0] then goes back in at its sorted place.  Ties may land in
-  // any order; the match counts do not depend on it.
-  {
+  // any order; the match counts do not depend on it.  Skipped when the plan
+  // does not read approximate entropy (its registry group is skipped too).
+  if (plan.approximate_entropy) {
     static_assert(kApEnDim <= 2, "W >= 2 must leave a template");
     const auto templates = static_cast<std::uint32_t>(
         std::min(W, kApEnMaxPoints) - kApEnDim + 1);
@@ -674,18 +690,22 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
   }
   p.rolling = &rs;
 
-  power_spectrum(f, scratch.fft, scratch.power);
-  p.power = scratch.power;
-  p.spectral = spectral_summary_from_power(scratch.power);
+  if (plan.spectrum) {
+    power_spectrum(f, scratch.fft, scratch.power);
+    p.power = scratch.power;
+    p.spectral =
+        spectral_summary_from_power(scratch.power, plan.spectral_entropy);
+  }
 
   p.trend = linear_trend(f);
 
-  compute_features_from_profile(p, out);
+  compute_features_from_profile(p, out, plan);
   return path;
 }
 
 IncrementalNodeExtractor::IncrementalNodeExtractor(
-    std::size_t cols, std::vector<ColumnKind> kinds, IncrementalConfig config)
+    std::size_t cols, std::vector<ColumnKind> kinds, IncrementalConfig config,
+    FeaturePlan plan)
     : impl_(std::make_unique<Impl>()) {
   if (cols == 0) {
     throw std::invalid_argument("IncrementalNodeExtractor: cols must be > 0");
@@ -698,6 +718,7 @@ IncrementalNodeExtractor::IncrementalNodeExtractor(
   Impl& im = *impl_;
   im.cols = cols;
   im.config = config;
+  im.plan = std::move(plan);
   im.is_counter.assign(cols, 0);
   for (std::size_t m = 0; m < cols && m < kinds.size(); ++m) {
     im.is_counter[m] =
@@ -750,14 +771,21 @@ bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
   // extractor so the caller must reset() (and refill) before continuing.
   im.poisoned = true;
   util::parallel_for(0, im.cols, [&](std::size_t m) {
+    const MetricPlan& plan = im.plan.metric(m);
+    const std::span<double> metric_out =
+        out.subspan(m * per_metric, per_metric);
+    if (!plan.any) {
+      // Nothing of this metric is read: skip its rows and its extraction.
+      if (emit) std::fill(metric_out.begin(), metric_out.end(), 0.0);
+      return;
+    }
     thread_local FeatureScratch scratch;
     MetricState& st = im.states[m];
     for (std::size_t r = 0; r < rows; ++r) {
       im.push_raw(st, m, delta(r, m), base + r);
     }
     if (!emit) return;
-    switch (im.extract_metric(st, m, out.subspan(m * per_metric, per_metric),
-                              scratch, end)) {
+    switch (im.extract_metric(st, m, plan, metric_out, scratch, end)) {
       case Emission::kIncremental:
         break;
       case Emission::kExactFallback:

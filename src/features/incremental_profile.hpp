@@ -125,8 +125,11 @@ class SortedWindow {
 class IncrementalNodeExtractor {
  public:
   /// `kinds.size()` may be smaller than `cols`; extra columns are gauges.
+  /// Emissions compute only the features `plan` reads (the other slots are
+  /// 0.0, and a metric it reads nothing of is not absorbed at all); every
+  /// planned feature is bit-identical to full extraction.
   IncrementalNodeExtractor(std::size_t cols, std::vector<ColumnKind> kinds,
-                           IncrementalConfig config);
+                           IncrementalConfig config, FeaturePlan plan = {});
   ~IncrementalNodeExtractor();
 
   IncrementalNodeExtractor(const IncrementalNodeExtractor&) = delete;
@@ -135,7 +138,7 @@ class IncrementalNodeExtractor {
   /// Absorbs `delta` (rows x cols, time order: the rows new since the
   /// previous call — H rows in steady state, the full window for the
   /// first emission) and, if at least one full window has been absorbed,
-  /// writes all cols * features_per_metric() features for the window
+  /// writes the cols * features_per_metric() features for the window
   /// ending at the last absorbed row into `out` (metric-major, same
   /// layout as extract_node_features) and returns true.  Returns false
   /// while the window is still filling (only after construction/reset).

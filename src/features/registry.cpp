@@ -6,6 +6,7 @@
 #include "features/series_profile.hpp"
 #include "tensor/stats.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -228,9 +229,9 @@ GroupBuilder build_groups() {
           out[7] = p.n < 2 ? 0.0 : std::sqrt(kernels::sq_change_sum(p.xs));
         });
 
-  b.add("entropy",
-        {"approximate_entropy_m2_r02", "binned_entropy_10",
-         "benford_correlation"},
+  // Approximate entropy is its own group so a plan that does not read it
+  // skips its pair sweep (and the incremental engine its template order).
+  b.add("approximate_entropy", {"approximate_entropy_m2_r02"},
         [](const SeriesProfile& p, double* out) {
           // The incremental engine supplies the template order from its
           // carried sorted window; the batch path sorts.
@@ -239,14 +240,18 @@ GroupBuilder build_groups() {
                                              p.rolling->apen_values,
                                              p.rolling->apen_index)
                        : approximate_entropy(p.xs, kApEnDim, 0.2);
+        });
+
+  b.add("entropy", {"binned_entropy_10", "benford_correlation"},
+        [](const SeriesProfile& p, double* out) {
           // Clean windows take the sorted-search variant (bit-identical
           // counts); NaN/inf windows keep the historical scatter scan.
-          out[1] = p.n == 0 ? 0.0
+          out[0] = p.n == 0 ? 0.0
                    : p.nan_count == 0 && std::isfinite(p.min) &&
                            std::isfinite(p.max)
                        ? binned_entropy_sorted(p.sorted, 10, p.min, p.max)
                        : binned_entropy(p.xs, 10, p.min, p.max);
-          out[2] = p.rolling && p.rolling->has_benford ? p.rolling->benford
+          out[1] = p.rolling && p.rolling->has_benford ? p.rolling->benford
                                                        : benford_correlation(p.xs);
         });
 
@@ -283,6 +288,30 @@ const GroupBuilder& builder() {
   return instance;
 }
 
+std::size_t registry_index(const std::string& name) {
+  const auto& defs = builder().defs;
+  for (std::size_t f = 0; f < defs.size(); ++f) {
+    if (defs[f].name == name) return f;
+  }
+  throw std::logic_error("feature registry has no " + name);
+}
+
+/// Fills in the profile-level flags from `plan.reads`.
+void derive_flags(MetricPlan& plan) {
+  static const std::size_t apen = registry_index("approximate_entropy_m2_r02");
+  static const std::size_t entropy = registry_index("spectral_entropy");
+  static const FeatureGroup& spectral = []() -> const FeatureGroup& {
+    for (const auto& group : builder().groups) {
+      if (group.name == "spectral") return group;
+    }
+    throw std::logic_error("feature registry has no spectral group");
+  }();
+  plan.any = plan.wants_any(0, plan.reads.size());
+  plan.spectrum = plan.wants_any(spectral.first, spectral.count);
+  plan.spectral_entropy = plan.wants(entropy);
+  plan.approximate_entropy = plan.wants(apen);
+}
+
 }  // namespace
 
 const std::vector<FeatureDef>& feature_registry() { return builder().defs; }
@@ -291,24 +320,76 @@ const std::vector<FeatureGroup>& feature_groups() { return builder().groups; }
 
 std::size_t features_per_metric() { return feature_registry().size(); }
 
+bool MetricPlan::wants_any(std::size_t first,
+                           std::size_t count) const noexcept {
+  if (reads.empty()) return count > 0;
+  for (std::size_t f = first; f < first + count; ++f) {
+    if (reads[f] != 0) return true;
+  }
+  return false;
+}
+
+const MetricPlan& MetricPlan::all() {
+  static const MetricPlan plan;
+  return plan;
+}
+
+FeaturePlan::FeaturePlan(std::span<const std::size_t> columns) {
+  // One entry per metric a column names, sorted by metric: the table is
+  // sized by the columns, never by their values (a bundle's indices are
+  // untrusted until transform_full checks them against the row).
+  const std::size_t per_metric = features_per_metric();
+  std::vector<std::size_t> sorted(columns.begin(), columns.end());
+  std::sort(sorted.begin(), sorted.end());
+  auto table =
+      std::make_shared<std::vector<std::pair<std::size_t, MetricPlan>>>();
+  for (const std::size_t c : sorted) {
+    const std::size_t m = c / per_metric;
+    if (table->empty() || table->back().first != m) {
+      table->emplace_back(m, MetricPlan{});
+      table->back().second.reads.assign(per_metric, 0);
+    }
+    table->back().second.reads[c % per_metric] = 1;
+  }
+  for (auto& entry : *table) derive_flags(entry.second);
+  metrics_ = std::move(table);
+}
+
+const MetricPlan& FeaturePlan::metric(std::size_t m) const noexcept {
+  static const MetricPlan none = [] {
+    MetricPlan plan;
+    plan.reads.assign(features_per_metric(), 0);
+    derive_flags(plan);
+    return plan;
+  }();
+  if (metrics_ == nullptr) return MetricPlan::all();
+  const auto it = std::lower_bound(
+      metrics_->begin(), metrics_->end(), m,
+      [](const auto& entry, std::size_t key) { return entry.first < key; });
+  return it != metrics_->end() && it->first == m ? it->second : none;
+}
+
 void compute_features_from_profile(const SeriesProfile& profile,
-                                   std::span<double> out) {
+                                   std::span<double> out,
+                                   const MetricPlan& plan) {
   if (out.size() != features_per_metric()) {
     throw std::invalid_argument(
         "compute_features_from_profile: bad output size");
   }
   for (const auto& group : feature_groups()) {
-    group.fn(profile, out.data() + group.first);
+    if (plan.wants_any(group.first, group.count)) {
+      group.fn(profile, out.data() + group.first);
+    }
   }
-  for (double& value : out) {
-    if (!std::isfinite(value)) value = 0.0;
+  for (std::size_t f = 0; f < out.size(); ++f) {
+    if (!plan.wants(f) || !std::isfinite(out[f])) out[f] = 0.0;
   }
 }
 
 void compute_all_features(std::span<const double> series, std::span<double> out,
-                          FeatureScratch& scratch) {
-  const SeriesProfile profile = compute_series_profile(series, scratch);
-  compute_features_from_profile(profile, out);
+                          FeatureScratch& scratch, const MetricPlan& plan) {
+  const SeriesProfile profile = compute_series_profile(series, scratch, plan);
+  compute_features_from_profile(profile, out, plan);
 }
 
 std::vector<double> compute_all_features(std::span<const double> series) {

@@ -9,7 +9,8 @@
 namespace prodigy::features {
 
 SeriesProfile compute_series_profile(std::span<const double> xs,
-                                     FeatureScratch& scratch) {
+                                     FeatureScratch& scratch,
+                                     const MetricPlan& plan) {
   SeriesProfile p;
   p.xs = xs;
   p.n = xs.size();
@@ -56,7 +57,8 @@ SeriesProfile compute_series_profile(std::span<const double> xs,
   // Pass 3: successive differences.
   p.abs_change_sum = kernels::abs_change_sum(xs);
 
-  // One sort (order statistics), one FFT (spectral family), one fit (trend).
+  // One sort (order statistics), one FFT (spectral family, when the plan
+  // reads it), one fit (trend).
   // NaNs are excluded before sorting: std::sort on NaN violates strict weak
   // ordering (UB), and historically they sorted to the tail where the upper
   // quantiles read them.  Consumers see nan_count > 0 and propagate NaN.
@@ -72,12 +74,15 @@ SeriesProfile compute_series_profile(std::span<const double> xs,
   std::sort(scratch.sorted.begin(), scratch.sorted.end());
   p.sorted = scratch.sorted;
 
-  power_spectrum(xs, scratch.fft, scratch.power);
   util::debug_assert_aligned(scratch.sorted.data());
-  util::debug_assert_aligned(scratch.fft.data());
-  util::debug_assert_aligned(scratch.power.data());
-  p.power = scratch.power;
-  p.spectral = spectral_summary_from_power(scratch.power);
+  if (plan.spectrum) {
+    power_spectrum(xs, scratch.fft, scratch.power);
+    util::debug_assert_aligned(scratch.fft.data());
+    util::debug_assert_aligned(scratch.power.data());
+    p.power = scratch.power;
+    p.spectral =
+        spectral_summary_from_power(scratch.power, plan.spectral_entropy);
+  }
 
   p.trend = linear_trend(xs);
   return p;

@@ -14,9 +14,9 @@
 
 #include "features/extractors.hpp"
 #include "features/fft.hpp"
+#include "features/registry.hpp"
 #include "util/aligned.hpp"
 
-#include <complex>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -63,7 +63,7 @@ struct RollingStats {
 struct FeatureScratch {
   util::AlignedVec<double> column;             // gathered metric series
   util::AlignedVec<double> sorted;             // sorted copy of the series
-  util::AlignedVec<std::complex<double>> fft;  // FFT work buffer
+  util::AlignedVec<double> fft;                // FFT work buffer (re, im)
   util::AlignedVec<double> power;              // one-sided power spectrum
   // Approximate entropy's template order (incremental engine only).
   util::AlignedVec<double> apen_values;
@@ -120,8 +120,11 @@ struct SeriesProfile {
 };
 
 /// Builds the profile for one series, reusing the scratch buffers.  The
-/// returned profile's spans point into `xs` and `scratch`.
-SeriesProfile compute_series_profile(std::span<const double> xs,
-                                     FeatureScratch& scratch);
+/// returned profile's spans point into `xs` and `scratch`.  A plan that reads
+/// no spectral_* feature leaves `power` empty and `spectral` zero; one that
+/// does not read spectral_entropy leaves `spectral.entropy` zero.
+SeriesProfile compute_series_profile(
+    std::span<const double> xs, FeatureScratch& scratch,
+    const MetricPlan& plan = MetricPlan::all());
 
 }  // namespace prodigy::features

@@ -22,7 +22,17 @@ pipeline::PreprocessOptions streaming_preprocess_defaults() {
 
 OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
                            OnlineScorerConfig config)
-    : bundle_(std::move(bundle)), bus_(bus), config_(config) {
+    : bundle_(std::move(bundle)),
+      bus_(bus),
+      config_(config),
+      scored_(&util::MetricsRegistry::global().counter(
+          "prodigy_stream_windows_scored_total")),
+      latency_(&util::MetricsRegistry::global().histogram(
+          "prodigy_stream_window_score_seconds")),
+      skipped_(&util::MetricsRegistry::global().counter(
+          "prodigy_stream_windows_skipped_total")),
+      errors_(&util::MetricsRegistry::global().counter(
+          "prodigy_stream_score_errors_total")) {
   if (config_.window == 0 || config_.hop == 0) {
     throw std::invalid_argument("OnlineScorer: window and hop must be > 0");
   }
@@ -42,6 +52,9 @@ OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
                         config_.preprocess.trim_seconds == 0.0
                     ? ExtractionMode::kIncremental
                     : ExtractionMode::kFullRecompute;
+  if (config_.model_provider == nullptr) {
+    plan_ = features::FeaturePlan(bundle_.metadata.selected_columns);
+  }
 
   if (!config_.metrics_scope.empty()) {
     auto& registry = util::MetricsRegistry::global();
@@ -75,7 +88,7 @@ void OnlineScorer::on_rows(std::int64_t job_id, std::int64_t component_id,
       inc.interpolate = config_.preprocess.interpolate;
       inc.diff_counters = config_.preprocess.diff_counters;
       slot->extractor = std::make_unique<features::IncrementalNodeExtractor>(
-          rows.cols(), col_kinds_, inc);
+          rows.cols(), col_kinds_, inc, plan_);
     }
   }
   NodeState& node = *slot;
@@ -162,9 +175,7 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
         // Still refilling after an error-recovery reset: the rolling state
         // does not cover a full window yet, so no verdict can be produced.
         windows_skipped_.fetch_add(1, std::memory_order_relaxed);
-        util::MetricsRegistry::global()
-            .counter("prodigy_stream_windows_skipped_total")
-            .increment();
+        skipped_->increment();
         return;
       }
       X.resize_for_overwrite(1, features.size());
@@ -173,7 +184,7 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
       const tensor::Matrix prepared =
           pipeline::preprocess_node(window.values, kinds_, config_.preprocess);
       const std::vector<double> features =
-          features::extract_node_features(prepared);
+          features::extract_node_features(prepared, plan_);
       X.resize_for_overwrite(1, features.size());
       X.set_row(0, features);
     }
@@ -204,10 +215,9 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
     event.model_generation = lease.generation;
 
     windows_scored_.fetch_add(1, std::memory_order_relaxed);
-    auto& registry = util::MetricsRegistry::global();
-    registry.counter("prodigy_stream_windows_scored_total").increment();
+    scored_->increment();
     const double seconds = timer.elapsed_seconds();
-    registry.histogram("prodigy_stream_window_score_seconds").observe(seconds);
+    latency_->observe(seconds);
     if (scoped_scored_ != nullptr) {
       scoped_scored_->increment();
       scoped_latency_->observe(seconds);
@@ -222,9 +232,7 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
     // A daemon must survive one malformed window (e.g. a frame width that
     // does not match the bundle's feature space); count it and move on.
     score_errors_.fetch_add(1, std::memory_order_relaxed);
-    util::MetricsRegistry::global()
-        .counter("prodigy_stream_score_errors_total")
-        .increment();
+    errors_->increment();
     util::log_warn("OnlineScorer: window ", window.span.index, " of node ",
                    node.job_id, "/", node.component_id, " failed: ", e.what());
     if (node.extractor) {

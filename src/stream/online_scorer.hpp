@@ -140,8 +140,17 @@ class OnlineScorer : public RowSink {
   EventBus& bus_;
   OnlineScorerConfig config_;
   ExtractionMode extraction_ = ExtractionMode::kFullRecompute;
-  // Scoped per-shard instrumentation (null when metrics_scope is empty);
-  // registry-owned, resolved once so the hot path stays two atomic bumps.
+  // The features the owned bundle reads (its selected columns); every
+  // window extracts only those.  Reads everything under a model_provider,
+  // which may lease a bundle with another selection.
+  features::FeaturePlan plan_;
+  // Registry-owned instrumentation, resolved once so the hot path bumps
+  // atomics instead of looking names up.  The scoped per-shard pair is
+  // null when metrics_scope is empty.
+  util::Counter* scored_;
+  util::Histogram* latency_;
+  util::Counter* skipped_;
+  util::Counter* errors_;
   util::Counter* scoped_scored_ = nullptr;
   util::Histogram* scoped_latency_ = nullptr;
   std::vector<telemetry::MetricKind> kinds_;

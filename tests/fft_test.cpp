@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <latch>
+#include <limits>
 #include <numbers>
 #include <thread>
 #include <vector>
@@ -45,6 +47,74 @@ std::vector<double> naive_power_spectrum(const std::vector<double>& xs) {
       im += (xs[j] - mean) * std::sin(angle);
     }
     power[k] = re * re + im * im;
+  }
+  return power;
+}
+
+/// The interleaved real-input transform power_spectrum replaced, kept as
+/// the bitwise oracle for the split-array rewrite: std::complex buffer,
+/// strided twiddle reads w^{k m / h}, the same exact-angle table, and the
+/// same per-element mul/add sequence in every butterfly and split step.
+std::vector<double> interleaved_power_spectrum(const std::vector<double>& xs) {
+  double mean = 0.0;
+  if (!xs.empty()) {
+    for (const double x : xs) mean += x;
+    mean /= static_cast<double>(xs.size());
+  }
+  if (xs.size() < 2) {
+    return {xs.empty() ? 0.0 : (xs[0] - mean) * (xs[0] - mean)};
+  }
+  std::size_t n = 2;
+  while (n < xs.size()) n <<= 1;
+  const std::size_t m = n / 2;
+  std::vector<std::size_t> bitrev(m, 0);
+  for (std::size_t i = 1, j = 0; i < m; ++i) {
+    std::size_t bit = m >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    bitrev[i] = j ^= bit;
+  }
+  std::vector<std::complex<double>> w(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const double angle = -2.0 * std::numbers::pi * static_cast<double>(j) /
+                         static_cast<double>(n);
+    w[j] = {std::cos(angle), std::sin(angle)};
+  }
+  std::vector<std::complex<double>> z(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t i = 2 * j;
+    z[bitrev[j]] = {i < xs.size() ? xs[i] - mean : 0.0,
+                    i + 1 < xs.size() ? xs[i + 1] - mean : 0.0};
+  }
+  for (std::size_t h = 1; h < m; h <<= 1) {
+    const std::size_t stride = m / h;
+    for (std::size_t base = 0; base < m; base += 2 * h) {
+      for (std::size_t k = 0; k < h; ++k) {
+        const std::complex<double> a = z[base + k];
+        const std::complex<double> b = z[base + k + h];
+        const std::complex<double> t = w[k * stride];
+        const double tr = b.real() * t.real() - b.imag() * t.imag();
+        const double ti = b.real() * t.imag() + b.imag() * t.real();
+        z[base + k] = {a.real() + tr, a.imag() + ti};
+        z[base + k + h] = {a.real() - tr, a.imag() - ti};
+      }
+    }
+  }
+  std::vector<double> power(m + 1);
+  const std::complex<double> z0 = z[0];
+  power[0] = (z0.real() + z0.imag()) * (z0.real() + z0.imag());
+  power[m] = (z0.real() - z0.imag()) * (z0.real() - z0.imag());
+  if (m >= 2) power[m / 2] = std::norm(z[m / 2]);
+  for (std::size_t k = 1; 2 * k < m; ++k) {
+    const std::complex<double> a = z[k];
+    const std::complex<double> b = z[m - k];
+    const double er = 0.5 * (a.real() + b.real());
+    const double ei = 0.5 * (a.imag() - b.imag());
+    const double orr = 0.5 * (a.imag() + b.imag());
+    const double oi = 0.5 * (b.real() - a.real());
+    const double tr = w[k].real() * orr - w[k].imag() * oi;
+    const double ti = w[k].real() * oi + w[k].imag() * orr;
+    power[k] = (er + tr) * (er + tr) + (ei + ti) * (ei + ti);
+    power[m - k] = (er - tr) * (er - tr) + (ei - ti) * (ei - ti);
   }
   return power;
 }
@@ -125,6 +195,60 @@ TEST(PowerSpectrumTest, MatchesNaiveDft) {
   }
 }
 
+/// Bitwise comparison of a spectrum against the interleaved oracle.
+void expect_bitwise_oracle(const std::vector<double>& xs, const char* kind) {
+  const auto want = interleaved_power_spectrum(xs);
+  const auto got = power_spectrum(xs);
+  ASSERT_EQ(got.size(), want.size()) << kind << " n=" << xs.size();
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+              std::bit_cast<std::uint64_t>(want[k]))
+        << kind << " n=" << xs.size() << " bin " << k << ": " << got[k]
+        << " vs " << want[k];
+  }
+}
+
+TEST(PowerSpectrumTest, BitwiseEqualsInterleavedOracleAcrossLengths) {
+  // Every length 1..1024 (each padding up to 1024, odd lengths, the
+  // smallest transforms whose stages have no butterflies), then every 37th
+  // length and each 2^b - 1, 2^b, 2^b + 1 up to 4096; random input.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 1024; ++n) lengths.push_back(n);
+  for (std::size_t n = 1061; n <= 4096; n += 37) lengths.push_back(n);
+  for (const std::size_t p : {2048, 4096}) {
+    lengths.insert(lengths.end(), {p - 1, p, p + 1});
+  }
+  for (const std::size_t n : lengths) {
+    expect_bitwise_oracle(gaussian_series(n, 7 * n + 1), "gaussian");
+  }
+}
+
+TEST(PowerSpectrumTest, BitwiseEqualsInterleavedOracleOnSpecialInputs) {
+  const std::vector<std::size_t> lengths = {1,  2,   3,   4,    7,    8,
+                                            31, 64,  100, 256,  300,  1023,
+                                            1024, 1025, 4096};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : lengths) {
+    util::Rng rng(n);
+    expect_bitwise_oracle(std::vector<double>(n, 3.25), "constant");
+    std::vector<double> spiky(n, 0.0);
+    for (std::size_t i = 0; i < n; i += 1 + rng.uniform_index(17)) {
+      spiky[i] = rng.uniform() < 0.5 ? 1e12 : -7.5e-3;
+    }
+    expect_bitwise_oracle(spiky, "spiky");
+    for (const double special : {kInf, -kInf, nan}) {
+      auto xs = gaussian_series(n, 3 * n);
+      xs[rng.uniform_index(n)] = special;
+      expect_bitwise_oracle(xs, "special");
+    }
+    auto mixed = gaussian_series(n, 5 * n);
+    mixed[0] = kInf;
+    mixed[n - 1] = -kInf;
+    expect_bitwise_oracle(mixed, "+inf/-inf");
+  }
+}
+
 TEST(PowerSpectrumTest, ConcurrentMixedSizesMatchSingleThread) {
   // Four threads race through first use of each transform size (every
   // test runs in a fresh process, so no plan exists yet) in different
@@ -142,7 +266,7 @@ TEST(PowerSpectrumTest, ConcurrentMixedSizesMatchSingleThread) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      util::AlignedVec<std::complex<double>> buffer;
+      util::AlignedVec<double> buffer;
       util::AlignedVec<double> power;
       start.arrive_and_wait();
       for (std::size_t step = 0; step < 3 * sizes.size(); ++step) {

@@ -8,13 +8,16 @@
 #include "pipeline/preprocess.hpp"
 #include "stream/event_bus.hpp"
 #include "stream/ingestor.hpp"
+#include "stream/model_provider.hpp"
 #include "stream/online_scorer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 namespace {
@@ -247,6 +250,133 @@ TEST_F(StreamScoringTest, IncrementalScoringMatchesFullRecompute) {
           << "node " << node.component_id << " window " << w;
       EXPECT_EQ(got.anomalous, expect > bundle.detector.threshold())
           << "node " << node.component_id << " window " << w;
+    }
+  }
+}
+
+/// Replays `job` through an ingestor into a fresh scorer and returns every
+/// verdict by (component, window).
+std::map<std::pair<std::int64_t, std::uint64_t>, stream::VerdictEvent>
+stream_verdicts(const core::ModelBundle& bundle,
+                const stream::OnlineScorerConfig& config,
+                const telemetry::JobTelemetry& job) {
+  stream::EventBus bus;
+  std::mutex verdict_mutex;
+  std::map<std::pair<std::int64_t, std::uint64_t>, stream::VerdictEvent>
+      verdicts;
+  bus.subscribe([&](const stream::VerdictEvent& event) {
+    std::lock_guard lock(verdict_mutex);
+    verdicts[{event.component_id, event.window_index}] = event;
+  });
+  stream::OnlineScorer online(bundle, bus, config);
+  deploy::DsosStore live_store;
+  stream::StreamIngestor ingestor(live_store, {}, &online);
+  for (auto& batch : batches_from_job(job)) {
+    EXPECT_TRUE(ingestor.offer(std::move(batch)));
+  }
+  ingestor.stop();
+  online.drain();
+  EXPECT_EQ(online.score_errors(), 0u);
+  EXPECT_EQ(online.windows_skipped(), 0u);
+  return verdicts;
+}
+
+/// Score of one raw window with every feature extracted (no plan).
+double full_extraction_score(const core::ModelBundle& bundle,
+                             const stream::OnlineScorerConfig& config,
+                             const telemetry::NodeSeries& node,
+                             std::uint64_t window) {
+  const tensor::Matrix raw = node.values.slice_rows(
+      static_cast<std::size_t>(window) * config.hop, config.window);
+  const std::vector<double> features = features::extract_node_features(
+      pipeline::preprocess_node(raw, config.preprocess));
+  tensor::Matrix X(1, features.size());
+  X.set_row(0, features);
+  return bundle.score_full(X).at(0);
+}
+
+TEST_F(StreamScoringTest, PlannedVerdictsMatchFullExtractionAtEveryShape) {
+  // The scorer extracts only its bundle's 64 selected columns; every
+  // verdict still equals the full-extraction score, on the incremental
+  // shapes and on the full recompute.
+  const auto service = deploy::AnalyticsService::train_from_store(
+      store_, train_jobs_, fast_options(), /*explain=*/false);
+  const core::ModelBundle& bundle = service.bundle();
+  ASSERT_EQ(bundle.metadata.selected_columns.size(), 64u);
+  const auto memleak = hpas::table2_configurations().back();
+  const auto replay_job = make_job(52, "LAMMPS", 3, 200, memleak, {1});
+
+  struct Shape {
+    std::size_t window, hop;
+  };
+  for (const Shape shape : {Shape{64, 16}, Shape{64, 64}, Shape{100, 10}}) {
+    SCOPED_TRACE("W=" + std::to_string(shape.window) +
+                 " H=" + std::to_string(shape.hop));
+    stream::OnlineScorerConfig config;
+    config.window = shape.window;
+    config.hop = shape.hop;
+    const auto verdicts = stream_verdicts(bundle, config, replay_job);
+    const std::size_t per_node = (200 - shape.window) / shape.hop + 1;
+    ASSERT_EQ(verdicts.size(), 3 * per_node);
+    for (const auto& node : replay_job.nodes) {
+      for (std::uint64_t w = 0; w < per_node; ++w) {
+        const auto it = verdicts.find({node.component_id, w});
+        ASSERT_NE(it, verdicts.end());
+        EXPECT_EQ(it->second.score,
+                  full_extraction_score(bundle, config, node, w))
+            << "node " << node.component_id << " window " << w;
+      }
+    }
+  }
+}
+
+/// Leases one fixed bundle as generation 1.
+class FixedProvider : public stream::ModelProvider {
+ public:
+  explicit FixedProvider(core::ModelBundle bundle)
+      : bundle_(std::make_shared<const core::ModelBundle>(std::move(bundle))) {}
+  Lease acquire() const override { return {bundle_, 1}; }
+  void on_verdict(const stream::VerdictEvent&,
+                  std::span<const double>) override {}
+
+ private:
+  std::shared_ptr<const core::ModelBundle> bundle_;
+};
+
+TEST_F(StreamScoringTest, ProviderWithAnotherSelectionScoresLikeBatch) {
+  // The scorer owns a 16-column bundle, but its provider leases a
+  // 128-column one: windows must extract full vectors, so every verdict
+  // equals the batch score of the leased bundle.
+  auto narrow_options = fast_options();
+  narrow_options.top_k_features = 16;
+  const auto narrow = deploy::AnalyticsService::train_from_store(
+      store_, train_jobs_, narrow_options, /*explain=*/false);
+  auto wide_options = fast_options();
+  wide_options.top_k_features = 128;
+  const auto wide = deploy::AnalyticsService::train_from_store(
+      store_, train_jobs_, wide_options, /*explain=*/false);
+  const core::ModelBundle& leased = wide.bundle();
+  FixedProvider provider(leased);
+
+  const auto replay_job = make_job(53, "LAMMPS", 2, 150);
+  for (const std::size_t hop : {std::size_t{16}, std::size_t{64}}) {
+    SCOPED_TRACE("W=64 H=" + std::to_string(hop));
+    stream::OnlineScorerConfig config;
+    config.window = 64;
+    config.hop = hop;
+    config.model_provider = &provider;
+    const auto verdicts = stream_verdicts(narrow.bundle(), config, replay_job);
+    const std::size_t per_node = (150 - 64) / hop + 1;
+    ASSERT_EQ(verdicts.size(), 2 * per_node);
+    for (const auto& node : replay_job.nodes) {
+      for (std::uint64_t w = 0; w < per_node; ++w) {
+        const auto it = verdicts.find({node.component_id, w});
+        ASSERT_NE(it, verdicts.end());
+        EXPECT_EQ(it->second.model_generation, 1u);
+        EXPECT_EQ(it->second.score,
+                  full_extraction_score(leased, config, node, w))
+            << "node " << node.component_id << " window " << w;
+      }
     }
   }
 }
