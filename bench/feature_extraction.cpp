@@ -218,11 +218,9 @@ BENCHMARK(BM_FullRecomputeHop)
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// Per-kernel before/after gauges: each benchmark registers a `/scalar` and a
-// `/simd` shape via kernels::force_scalar, so the vectorization win of every
-// kernel is measurable in one run (the /scalar leg IS the pre-kernel code:
-// the scalar oracles are the verbatim historical loops or the identical
-// lane DAG without vector hints).
+// Per-kernel gauges: the SIMD kernels the registry groups route through.
+// A build with -DPRODIGY_NO_SIMD=ON runs the same loops without vector
+// hints, so comparing the two builds gives the vectorization win.
 
 /// ApEn pair sweep (the entropy group's dominant cost) with its sort:
 /// m = 2, r = 0.2 sigma — the registry's exact call shape — over n-point
@@ -230,7 +228,6 @@ BENCHMARK(BM_FullRecomputeHop)
 /// rotating kinds.  The per-window r (one O(n) stddev) is inside the timed
 /// loop.
 void BM_ApEnSweep(benchmark::State& state) {
-  kernels::force_scalar(state.range(1) != 0);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Ribbon& rb = ribbon();
   constexpr std::size_t kDim = 2;  // the registry's embedding dimension
@@ -251,20 +248,16 @@ void BM_ApEnSweep(benchmark::State& state) {
     at[k] += 16;
     k = k + 1 == Ribbon::kKinds ? 0 : k + 1;
   }
-  kernels::force_scalar(false);
 }
 BENCHMARK(BM_ApEnSweep)
-    ->Args({256, 0})   // the extractor's subsampled size
-    ->Args({256, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->ArgNames({"n", "scalar"})
+    ->Arg(256)  // the extractor's subsampled size
+    ->Arg(1024)
+    ->ArgName("n")
     ->Unit(benchmark::kMicrosecond);
 
 /// The per-emission linear-aggregate family on one window: sum/energy,
 /// variance, |dx|, runs — the profile passes the kernels replaced.
 void BM_AggregateKernels(benchmark::State& state) {
-  kernels::force_scalar(state.range(1) != 0);
   const auto xs = make_series(static_cast<std::size_t>(state.range(0)), 37);
   for (auto _ : state) {
     const auto se = kernels::sum_energy(xs);
@@ -274,18 +267,15 @@ void BM_AggregateKernels(benchmark::State& state) {
     auto rs = kernels::run_stats(xs, mean);
     benchmark::DoNotOptimize(&rs);
   }
-  kernels::force_scalar(false);
 }
 BENCHMARK(BM_AggregateKernels)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->ArgNames({"n", "scalar"})
+    ->Arg(1024)
+    ->ArgName("n")
     ->Unit(benchmark::kMicrosecond);
 
 /// Trend + autocorrelation + nonlinearity reductions (the remaining lane
 /// kernels the registry groups route through).
 void BM_ReductionKernels(benchmark::State& state) {
-  kernels::force_scalar(state.range(1) != 0);
   const auto xs = make_series(static_cast<std::size_t>(state.range(0)), 41);
   const auto se = kernels::sum_energy(xs);
   const double mean = se.sum / static_cast<double>(xs.size());
@@ -306,12 +296,10 @@ void BM_ReductionKernels(benchmark::State& state) {
     auto zm = kernels::zmoment_sums(xs, mean, stddev);
     benchmark::DoNotOptimize(&zm);
   }
-  kernels::force_scalar(false);
 }
 BENCHMARK(BM_ReductionKernels)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->ArgNames({"n", "scalar"})
+    ->Arg(1024)
+    ->ArgName("n")
     ->Unit(benchmark::kMicrosecond);
 
 /// Per-group cost over an already-built profile: how the registry's time

@@ -14,61 +14,27 @@
 // the identical arithmetic DAG, so numerics do not change.
 #if defined(PRODIGY_NO_SIMD)
 #define PRODIGY_SIMD
-#define PRODIGY_SIMD_REDUCE(...)
 #else
 #define PRODIGY_SIMD _Pragma("omp simd")
-#define PRODIGY_PRAGMA_STR(x) #x
-#define PRODIGY_SIMD_REDUCE(...) \
-  _Pragma(PRODIGY_PRAGMA_STR(omp simd reduction(+ : __VA_ARGS__)))
 #endif
 
 namespace prodigy::features::kernels {
 
 namespace {
 
-bool g_force_scalar = false;
-
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
-
-void force_scalar(bool on) noexcept { g_force_scalar = on; }
-bool scalar_forced() noexcept { return g_force_scalar; }
 
 // ---------------------------------------------------------------------------
 // Lane-structured floating-point reductions.
 //
 // Element i always lands in lane i % kSumLanes (the tail loop starts at a
 // multiple of kSumLanes, so `i - tail_start` preserves that mapping), and
-// lanes fold in ascending lane order.  The scalar twins repeat the loops
-// without the vector hint: same tree, same bits.
-
-SumEnergy sum_energy_scalar(std::span<const double> xs) noexcept {
-  double sum[kSumLanes] = {}, energy[kSumLanes] = {};
-  const std::size_t n = xs.size();
-  const std::size_t tail = n - n % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      const double x = xs[i + l];
-      sum[l] += x;
-      energy[l] += x * x;
-    }
-  }
-  for (std::size_t i = tail; i < n; ++i) {
-    const double x = xs[i];
-    sum[i - tail] += x;
-    energy[i - tail] += x * x;
-  }
-  SumEnergy r;
-  for (std::size_t l = 0; l < kSumLanes; ++l) {
-    r.sum += sum[l];
-    r.energy += energy[l];
-  }
-  return r;
-}
+// lanes fold in ascending lane order.  Each body is written out by hand: a
+// shared lane-fold template keeps the bits but runs slower (ROADMAP 6.2).
 
 SumEnergy sum_energy(std::span<const double> xs) noexcept {
-  if (g_force_scalar) return sum_energy_scalar(xs);
   double sum[kSumLanes] = {}, energy[kSumLanes] = {};
   const std::size_t n = xs.size();
   const std::size_t tail = n - n % kSumLanes;
@@ -91,23 +57,9 @@ SumEnergy sum_energy(std::span<const double> xs) noexcept {
     r.energy += energy[l];
   }
   return r;
-}
-
-double lane_sum_scalar(std::span<const double> xs) noexcept {
-  double lanes[kSumLanes] = {};
-  const std::size_t n = xs.size();
-  const std::size_t tail = n - n % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) lanes[l] += xs[i + l];
-  }
-  for (std::size_t i = tail; i < n; ++i) lanes[i - tail] += xs[i];
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
 }
 
 double lane_sum(std::span<const double> xs) noexcept {
-  if (g_force_scalar) return lane_sum_scalar(xs);
   double lanes[kSumLanes] = {};
   const std::size_t n = xs.size();
   const std::size_t tail = n - n % kSumLanes;
@@ -116,31 +68,12 @@ double lane_sum(std::span<const double> xs) noexcept {
     for (std::size_t l = 0; l < kSumLanes; ++l) lanes[l] += xs[i + l];
   }
   for (std::size_t i = tail; i < n; ++i) lanes[i - tail] += xs[i];
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
-}
-
-double freq_weighted_sum_scalar(std::span<const double> xs,
-                                double scale) noexcept {
-  double lanes[kSumLanes] = {};
-  const std::size_t n = xs.size();
-  const std::size_t tail = n - n % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      lanes[l] += (static_cast<double>(i + l) * scale) * xs[i + l];
-    }
-  }
-  for (std::size_t i = tail; i < n; ++i) {
-    lanes[i - tail] += (static_cast<double>(i) * scale) * xs[i];
-  }
   double total = 0.0;
   for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
   return total;
 }
 
 double freq_weighted_sum(std::span<const double> xs, double scale) noexcept {
-  if (g_force_scalar) return freq_weighted_sum_scalar(xs, scale);
   double lanes[kSumLanes] = {};
   const std::size_t n = xs.size();
   const std::size_t tail = n - n % kSumLanes;
@@ -152,26 +85,6 @@ double freq_weighted_sum(std::span<const double> xs, double scale) noexcept {
   }
   for (std::size_t i = tail; i < n; ++i) {
     lanes[i - tail] += (static_cast<double>(i) * scale) * xs[i];
-  }
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
-}
-
-double freq_spread_sum_scalar(std::span<const double> xs, double scale,
-                              double center) noexcept {
-  double lanes[kSumLanes] = {};
-  const std::size_t n = xs.size();
-  const std::size_t tail = n - n % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      const double d = static_cast<double>(i + l) * scale - center;
-      lanes[l] += d * d * xs[i + l];
-    }
-  }
-  for (std::size_t i = tail; i < n; ++i) {
-    const double d = static_cast<double>(i) * scale - center;
-    lanes[i - tail] += d * d * xs[i];
   }
   double total = 0.0;
   for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
@@ -180,7 +93,6 @@ double freq_spread_sum_scalar(std::span<const double> xs, double scale,
 
 double freq_spread_sum(std::span<const double> xs, double scale,
                        double center) noexcept {
-  if (g_force_scalar) return freq_spread_sum_scalar(xs, scale, center);
   double lanes[kSumLanes] = {};
   const std::size_t n = xs.size();
   const std::size_t tail = n - n % kSumLanes;
@@ -200,28 +112,7 @@ double freq_spread_sum(std::span<const double> xs, double scale,
   return total;
 }
 
-double centered_sq_sum_scalar(std::span<const double> xs,
-                              double mean) noexcept {
-  double lanes[kSumLanes] = {};
-  const std::size_t n = xs.size();
-  const std::size_t tail = n - n % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      const double d = xs[i + l] - mean;
-      lanes[l] += d * d;
-    }
-  }
-  for (std::size_t i = tail; i < n; ++i) {
-    const double d = xs[i] - mean;
-    lanes[i - tail] += d * d;
-  }
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
-}
-
 double centered_sq_sum(std::span<const double> xs, double mean) noexcept {
-  if (g_force_scalar) return centered_sq_sum_scalar(xs, mean);
   double lanes[kSumLanes] = {};
   const std::size_t n = xs.size();
   const std::size_t tail = n - n % kSumLanes;
@@ -244,26 +135,7 @@ double centered_sq_sum(std::span<const double> xs, double mean) noexcept {
 // Successive-difference reductions index the m = n - 1 adjacent pairs;
 // pair j covers (xs[j], xs[j + 1]) and lands in lane j % kSumLanes.
 
-double abs_change_sum_scalar(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  double lanes[kSumLanes] = {};
-  const std::size_t m = xs.size() - 1;
-  const std::size_t tail = m - m % kSumLanes;
-  for (std::size_t j = 0; j < tail; j += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      lanes[l] += std::abs(xs[j + l + 1] - xs[j + l]);
-    }
-  }
-  for (std::size_t j = tail; j < m; ++j) {
-    lanes[j - tail] += std::abs(xs[j + 1] - xs[j]);
-  }
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
-}
-
 double abs_change_sum(std::span<const double> xs) noexcept {
-  if (g_force_scalar) return abs_change_sum_scalar(xs);
   if (xs.size() < 2) return 0.0;
   double lanes[kSumLanes] = {};
   const std::size_t m = xs.size() - 1;
@@ -276,26 +148,6 @@ double abs_change_sum(std::span<const double> xs) noexcept {
   }
   for (std::size_t j = tail; j < m; ++j) {
     lanes[j - tail] += std::abs(xs[j + 1] - xs[j]);
-  }
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
-}
-
-double sq_change_sum_scalar(std::span<const double> xs) noexcept {
-  if (xs.size() < 2) return 0.0;
-  double lanes[kSumLanes] = {};
-  const std::size_t m = xs.size() - 1;
-  const std::size_t tail = m - m % kSumLanes;
-  for (std::size_t j = 0; j < tail; j += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      const double d = xs[j + l + 1] - xs[j + l];
-      lanes[l] += d * d;
-    }
-  }
-  for (std::size_t j = tail; j < m; ++j) {
-    const double d = xs[j + 1] - xs[j];
-    lanes[j - tail] += d * d;
   }
   double total = 0.0;
   for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
@@ -303,7 +155,6 @@ double sq_change_sum_scalar(std::span<const double> xs) noexcept {
 }
 
 double sq_change_sum(std::span<const double> xs) noexcept {
-  if (g_force_scalar) return sq_change_sum_scalar(xs);
   if (xs.size() < 2) return 0.0;
   double lanes[kSumLanes] = {};
   const std::size_t m = xs.size() - 1;
@@ -317,28 +168,6 @@ double sq_change_sum(std::span<const double> xs) noexcept {
   }
   for (std::size_t j = tail; j < m; ++j) {
     const double d = xs[j + 1] - xs[j];
-    lanes[j - tail] += d * d;
-  }
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
-}
-
-double sq_zchange_sum_scalar(std::span<const double> xs, double mean,
-                             double stddev) noexcept {
-  if (xs.size() < 2) return 0.0;
-  double lanes[kSumLanes] = {};
-  const std::size_t m = xs.size() - 1;
-  const std::size_t tail = m - m % kSumLanes;
-  for (std::size_t j = 0; j < tail; j += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      const double d =
-          (xs[j + l + 1] - mean) / stddev - (xs[j + l] - mean) / stddev;
-      lanes[l] += d * d;
-    }
-  }
-  for (std::size_t j = tail; j < m; ++j) {
-    const double d = (xs[j + 1] - mean) / stddev - (xs[j] - mean) / stddev;
     lanes[j - tail] += d * d;
   }
   double total = 0.0;
@@ -348,7 +177,6 @@ double sq_zchange_sum_scalar(std::span<const double> xs, double mean,
 
 double sq_zchange_sum(std::span<const double> xs, double mean,
                       double stddev) noexcept {
-  if (g_force_scalar) return sq_zchange_sum_scalar(xs, mean, stddev);
   if (xs.size() < 2) return 0.0;
   double lanes[kSumLanes] = {};
   const std::size_t m = xs.size() - 1;
@@ -373,27 +201,7 @@ double sq_zchange_sum(std::span<const double> xs, double mean,
 // Central second differences index the m = n - 2 interior points; term j
 // covers (xs[j], xs[j + 1], xs[j + 2]).
 
-double second_derivative_sum_scalar(std::span<const double> xs) noexcept {
-  if (xs.size() < 3) return 0.0;
-  double lanes[kSumLanes] = {};
-  const std::size_t m = xs.size() - 2;
-  const std::size_t tail = m - m % kSumLanes;
-  for (std::size_t j = 0; j < tail; j += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      lanes[l] +=
-          0.5 * (xs[j + l + 2] - 2.0 * xs[j + l + 1] + xs[j + l]);
-    }
-  }
-  for (std::size_t j = tail; j < m; ++j) {
-    lanes[j - tail] += 0.5 * (xs[j + 2] - 2.0 * xs[j + 1] + xs[j]);
-  }
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
-}
-
 double second_derivative_sum(std::span<const double> xs) noexcept {
-  if (g_force_scalar) return second_derivative_sum_scalar(xs);
   if (xs.size() < 3) return 0.0;
   double lanes[kSumLanes] = {};
   const std::size_t m = xs.size() - 2;
@@ -411,38 +219,10 @@ double second_derivative_sum(std::span<const double> xs) noexcept {
   double total = 0.0;
   for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
   return total;
-}
-
-ZMoments zmoment_sums_scalar(std::span<const double> xs, double mean,
-                             double stddev) noexcept {
-  double z3[kSumLanes] = {}, z4[kSumLanes] = {};
-  const std::size_t n = xs.size();
-  const std::size_t tail = n - n % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      const double z = (xs[i + l] - mean) / stddev;
-      const double zz = z * z;
-      z3[l] += zz * z;
-      z4[l] += zz * zz;
-    }
-  }
-  for (std::size_t i = tail; i < n; ++i) {
-    const double z = (xs[i] - mean) / stddev;
-    const double zz = z * z;
-    z3[i - tail] += zz * z;
-    z4[i - tail] += zz * zz;
-  }
-  ZMoments r;
-  for (std::size_t l = 0; l < kSumLanes; ++l) {
-    r.z3 += z3[l];
-    r.z4 += z4[l];
-  }
-  return r;
 }
 
 ZMoments zmoment_sums(std::span<const double> xs, double mean,
                       double stddev) noexcept {
-  if (g_force_scalar) return zmoment_sums_scalar(xs, mean, stddev);
   double z3[kSumLanes] = {}, z4[kSumLanes] = {};
   const std::size_t n = xs.size();
   const std::size_t tail = n - n % kSumLanes;
@@ -465,43 +245,12 @@ ZMoments zmoment_sums(std::span<const double> xs, double mean,
   for (std::size_t l = 0; l < kSumLanes; ++l) {
     r.z3 += z3[l];
     r.z4 += z4[l];
-  }
-  return r;
-}
-
-TrendSums trend_sums_scalar(std::span<const double> xs, double t_mean,
-                            double x_mean) noexcept {
-  double stx[kSumLanes] = {}, stt[kSumLanes] = {}, sxx[kSumLanes] = {};
-  const std::size_t n = xs.size();
-  const std::size_t tail = n - n % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      const double dt = static_cast<double>(i + l) - t_mean;
-      const double dx = xs[i + l] - x_mean;
-      stx[l] += dt * dx;
-      stt[l] += dt * dt;
-      sxx[l] += dx * dx;
-    }
-  }
-  for (std::size_t i = tail; i < n; ++i) {
-    const double dt = static_cast<double>(i) - t_mean;
-    const double dx = xs[i] - x_mean;
-    stx[i - tail] += dt * dx;
-    stt[i - tail] += dt * dt;
-    sxx[i - tail] += dx * dx;
-  }
-  TrendSums r;
-  for (std::size_t l = 0; l < kSumLanes; ++l) {
-    r.stx += stx[l];
-    r.stt += stt[l];
-    r.sxx += sxx[l];
   }
   return r;
 }
 
 TrendSums trend_sums(std::span<const double> xs, double t_mean,
                      double x_mean) noexcept {
-  if (g_force_scalar) return trend_sums_scalar(xs, t_mean, x_mean);
   double stx[kSumLanes] = {}, stt[kSumLanes] = {}, sxx[kSumLanes] = {};
   const std::size_t n = xs.size();
   const std::size_t tail = n - n % kSumLanes;
@@ -531,28 +280,8 @@ TrendSums trend_sums(std::span<const double> xs, double t_mean,
   return r;
 }
 
-double centered_lag_mac_scalar(std::span<const double> xs, double mean,
-                               std::size_t lag) noexcept {
-  if (xs.size() <= lag) return 0.0;
-  double lanes[kSumLanes] = {};
-  const std::size_t m = xs.size() - lag;
-  const std::size_t tail = m - m % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      lanes[l] += (xs[i + l] - mean) * (xs[i + l + lag] - mean);
-    }
-  }
-  for (std::size_t i = tail; i < m; ++i) {
-    lanes[i - tail] += (xs[i] - mean) * (xs[i + lag] - mean);
-  }
-  double total = 0.0;
-  for (std::size_t l = 0; l < kSumLanes; ++l) total += lanes[l];
-  return total;
-}
-
 double centered_lag_mac(std::span<const double> xs, double mean,
                         std::size_t lag) noexcept {
-  if (g_force_scalar) return centered_lag_mac_scalar(xs, mean, lag);
   if (xs.size() <= lag) return 0.0;
   double lanes[kSumLanes] = {};
   const std::size_t m = xs.size() - lag;
@@ -571,38 +300,7 @@ double centered_lag_mac(std::span<const double> xs, double mean,
   return total;
 }
 
-C3TrSums c3_tr_sums_scalar(std::span<const double> xs,
-                           std::size_t lag) noexcept {
-  C3TrSums r;
-  if (lag == 0 || xs.size() < 2 * lag + 1) return r;
-  double c3[kSumLanes] = {}, tr[kSumLanes] = {};
-  const std::size_t m = xs.size() - 2 * lag;
-  const std::size_t tail = m - m % kSumLanes;
-  for (std::size_t i = 0; i < tail; i += kSumLanes) {
-    for (std::size_t l = 0; l < kSumLanes; ++l) {
-      const double a = xs[i + l + 2 * lag];
-      const double b = xs[i + l + lag];
-      const double c = xs[i + l];
-      c3[l] += a * b * c;
-      tr[l] += a * a * b - b * c * c;
-    }
-  }
-  for (std::size_t i = tail; i < m; ++i) {
-    const double a = xs[i + 2 * lag];
-    const double b = xs[i + lag];
-    const double c = xs[i];
-    c3[i - tail] += a * b * c;
-    tr[i - tail] += a * a * b - b * c * c;
-  }
-  for (std::size_t l = 0; l < kSumLanes; ++l) {
-    r.c3 += c3[l];
-    r.tr += tr[l];
-  }
-  return r;
-}
-
 C3TrSums c3_tr_sums(std::span<const double> xs, std::size_t lag) noexcept {
-  if (g_force_scalar) return c3_tr_sums_scalar(xs, lag);
   C3TrSums r;
   if (lag == 0 || xs.size() < 2 * lag + 1) return r;
   double c3[kSumLanes] = {}, tr[kSumLanes] = {};
@@ -635,41 +333,14 @@ C3TrSums c3_tr_sums(std::span<const double> xs, std::size_t lag) noexcept {
 // ---------------------------------------------------------------------------
 // Integer window statistics.
 
-RunStats run_stats_scalar(std::span<const double> xs, double mean) noexcept {
-  // Verbatim historical pass (SeriesProfile pass 2 / the incremental
-  // per-emission loop): the parity oracle for the flag-based vector path.
-  RunStats r;
-  std::size_t run_above = 0, run_below = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double x = xs[i];
-    if (x > mean) {
-      ++r.count_above;
-      ++run_above;
-      r.longest_above = std::max(r.longest_above, run_above);
-    } else {
-      run_above = 0;
-    }
-    if (x < mean) {
-      ++r.count_below;
-      ++run_below;
-      r.longest_below = std::max(r.longest_below, run_below);
-    } else {
-      run_below = 0;
-    }
-    if (i > 0 && ((xs[i - 1] > mean) != (x > mean))) ++r.crossings;
-  }
-  return r;
-}
-
 RunStats run_stats(std::span<const double> xs, double mean) {
-  if (g_force_scalar) return run_stats_scalar(xs, mean);
   const std::size_t n = xs.size();
   if (n == 0) return {};
   // One vector pass classifies every element into two flag bits (NaN sets
   // neither, matching the historical x > mean / x < mean branch pair), then
   // cheap byte scans tally the counts; the run/crossing scans are
-  // branchless over the flag bytes.  All outputs are integers, so this is
-  // bit-exact against the scalar oracle by construction.
+  // branchless over the flag bytes.  All outputs are integers, so this
+  // equals the historical branchy loop by construction.
   thread_local std::vector<std::uint8_t> flags;
   flags.resize(n);
   std::uint8_t* fl = flags.data();
@@ -705,16 +376,8 @@ RunStats run_stats(std::span<const double> xs, double mean) {
   return r;
 }
 
-std::size_t count_beyond_scalar(std::span<const double> xs, double mean,
-                                double threshold) noexcept {
-  std::size_t count = 0;
-  for (double x : xs) count += std::abs(x - mean) > threshold ? 1 : 0;
-  return count;
-}
-
 std::size_t count_beyond(std::span<const double> xs, double mean,
                          double threshold) noexcept {
-  if (g_force_scalar) return count_beyond_scalar(xs, mean, threshold);
   std::size_t count = 0;
   const std::size_t n = xs.size();
   PRODIGY_SIMD
@@ -724,16 +387,8 @@ std::size_t count_beyond(std::span<const double> xs, double mean,
   return count;
 }
 
-std::size_t count_flag_bits_scalar(std::span<const std::uint8_t> flags,
-                                   std::uint8_t bit) noexcept {
-  std::size_t count = 0;
-  for (const std::uint8_t f : flags) count += (f & bit) != 0 ? 1 : 0;
-  return count;
-}
-
 std::size_t count_flag_bits(std::span<const std::uint8_t> flags,
                             std::uint8_t bit) noexcept {
-  if (g_force_scalar) return count_flag_bits_scalar(flags, bit);
   std::size_t count = 0;
   const std::size_t n = flags.size();
   PRODIGY_SIMD
@@ -750,7 +405,7 @@ void apen_match_counts_scalar(std::span<const double> series, std::size_t m,
                               double r, std::span<std::uint32_t> matches_lo,
                               std::span<std::uint32_t> matches_hi,
                               ApEnScratch& scratch) {
-  // Verbatim PR-6 sweep: sorted dim-1 prefilter, contiguous run scan,
+  // The historical sweep: sorted dim-1 prefilter, contiguous run scan,
   // shared prefix comparison for dims m and m+1.  The parity oracle.
   const std::size_t count_lo = matches_lo.size();
   const std::size_t count_hi = matches_hi.size();
@@ -807,7 +462,7 @@ void apen_match_counts_ordered(std::span<const double> series, std::size_t m,
     throw std::invalid_argument(
         "apen_match_counts_ordered: order length != template count");
   }
-  if (g_force_scalar || m == 0) {
+  if (m == 0) {
     apen_match_counts_scalar(series, m, r, matches_lo, matches_hi, scratch);
     return;
   }
@@ -956,7 +611,7 @@ void apen_match_counts(std::span<const double> series, std::size_t m,
                        double r, std::span<std::uint32_t> matches_lo,
                        std::span<std::uint32_t> matches_hi,
                        ApEnScratch& scratch) {
-  if (g_force_scalar || m == 0) {
+  if (m == 0) {
     apen_match_counts_scalar(series, m, r, matches_lo, matches_hi, scratch);
     return;
   }

@@ -6,6 +6,33 @@
 
 namespace prodigy::stream {
 
+namespace {
+
+// Resolved once: the registry lookup (name sanitizing plus a global-mutex
+// map find) stays off the per-verdict path.
+struct BusMetrics {
+  util::Counter* verdicts;
+  util::Counter* transitions;
+  util::Counter* suppressed;
+  util::Counter* drift_events;
+
+  static BusMetrics& instance() {
+    static BusMetrics metrics = [] {
+      auto& registry = util::MetricsRegistry::global();
+      BusMetrics m;
+      m.verdicts = &registry.counter("prodigy_stream_verdicts_total");
+      m.transitions = &registry.counter("prodigy_stream_transitions_total");
+      m.suppressed =
+          &registry.counter("prodigy_stream_debounce_suppressed_total");
+      m.drift_events = &registry.counter("prodigy_stream_drift_events_total");
+      return m;
+    }();
+    return metrics;
+  }
+};
+
+}  // namespace
+
 EventBus::EventBus(EventBusConfig config) : config_(config) {
   if (config_.debounce_windows == 0) {
     throw std::invalid_argument("EventBus: debounce_windows must be > 0");
@@ -41,7 +68,6 @@ void EventBus::unsubscribe(std::uint64_t id) {
 }
 
 void EventBus::publish(const VerdictEvent& event) {
-  auto& registry = util::MetricsRegistry::global();
   std::vector<std::shared_ptr<const VerdictSink>> verdict_sinks;
   std::vector<std::shared_ptr<const TransitionSink>> transition_sinks;
   TransitionEvent transition;
@@ -102,12 +128,9 @@ void EventBus::publish(const VerdictEvent& event) {
       }
     }
   }
-  registry.counter("prodigy_stream_verdicts_total").increment();
-  if (emit) {
-    registry.counter("prodigy_stream_transitions_total").increment();
-  } else {
-    registry.counter("prodigy_stream_debounce_suppressed_total").increment();
-  }
+  auto& metrics = BusMetrics::instance();
+  metrics.verdicts->increment();
+  (emit ? metrics.transitions : metrics.suppressed)->increment();
   // Dispatch outside the lock: sinks may be slow (stdout, network) or call
   // back into the bus.
   for (const auto& sink : verdict_sinks) (*sink)(event);
@@ -124,9 +147,7 @@ void EventBus::publish(const DriftEvent& event) {
     sinks.reserve(drift_sinks_.size());
     for (const auto& [id, sink] : drift_sinks_) sinks.push_back(sink);
   }
-  util::MetricsRegistry::global()
-      .counter("prodigy_stream_drift_events_total")
-      .increment();
+  BusMetrics::instance().drift_events->increment();
   for (const auto& sink : sinks) (*sink)(event);
 }
 

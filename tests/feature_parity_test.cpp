@@ -316,17 +316,66 @@ TEST(FeatureParityTest, RejectsWrongOutputSize) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD-vs-scalar kernel sweeps.
+// Kernel sweeps against one independent statement of the arithmetic.
 //
-// Every kernel in features/kernels.cpp promises bit-identical results
-// between its vector path and its scalar oracle (fixed-lane reduction DAG
-// for floating point, order-invariant tallies for integers).  These sweeps
-// enforce that promise with EXPECT_EQ on the raw bit patterns across
-// ragged lengths (vector-width remainders), constant/spiky/NaN-bearing
-// data, and the dispatch seam itself.  Under -DPRODIGY_NO_SIMD the vector
-// entry points compile to the scalar loops and the sweeps pin the fallback.
+// Every floating-point kernel in features/kernels.cpp promises one
+// arithmetic DAG: lanes[i % kSumLanes] += term(i) over its terms
+// i in [0, count), then an ascending fold of the lanes starting from 0.0.
+// lane_reference() states that contract here, once, in plain scalar code;
+// each kernel output gets a term lambda mirroring its per-element
+// expression, and the sweeps compare raw bit patterns across ragged lengths
+// (vector-width remainders) and constant/spiky/NaN-bearing data.  The
+// integer tallies are checked against std::count_if forms and the
+// historical branchy run loop.  The default and the PRODIGY_NO_SIMD builds
+// both run these sweeps, so each tests the kernels against a second
+// statement of the arithmetic, not against a copy of the loops.  This TU is
+// built in ISO mode (-std=c++20) without -march, so, like kernels.cpp with
+// -ffp-contract=off, it contracts no a * b + c into an FMA.
 
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+/// The bit pattern, with every NaN mapped to one: which NaN an operation
+/// returns (sign, payload) depends on the operand order the compiler picks
+/// for a commutative add, so it is not part of the lane contract, and the
+/// registry clamps every non-finite feature to 0.0.
+std::uint64_t bits(double x) {
+  return std::isnan(x) ? std::bit_cast<std::uint64_t>(
+                             std::numeric_limits<double>::quiet_NaN())
+                       : std::bit_cast<std::uint64_t>(x);
+}
+
+template <typename Term>
+double lane_reference(std::size_t count, Term term) {
+  double lanes[kernels::kSumLanes] = {};
+  for (std::size_t i = 0; i < count; ++i) lanes[i % kernels::kSumLanes] += term(i);
+  double total = 0.0;
+  for (const double lane : lanes) total += lane;
+  return total;
+}
+
+/// The historical mean-relative run pass (SeriesProfile pass 2 before the
+/// flag-based kernel): the reference for kernels::run_stats.
+kernels::RunStats run_stats_scalar(std::span<const double> xs, double mean) {
+  kernels::RunStats r;
+  std::size_t run_above = 0, run_below = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double x = xs[i];
+    if (x > mean) {
+      ++r.count_above;
+      ++run_above;
+      r.longest_above = std::max(r.longest_above, run_above);
+    } else {
+      run_above = 0;
+    }
+    if (x < mean) {
+      ++r.count_below;
+      ++run_below;
+      r.longest_below = std::max(r.longest_below, run_below);
+    } else {
+      run_below = 0;
+    }
+    if (i > 0 && ((xs[i - 1] > mean) != (x > mean))) ++r.crossings;
+  }
+  return r;
+}
 
 /// Lengths straddling every lane boundary the kernels care about: empty,
 /// sub-lane, one lane +/- 1, several lanes, and large odd sizes.
@@ -347,60 +396,109 @@ std::vector<std::vector<double>> sweep_datasets(std::size_t n,
   return sets;
 }
 
+double reference_mean(std::span<const double> xs) {
+  if (xs.empty()) return 0.0;
+  return lane_reference(xs.size(), [&](std::size_t i) { return xs[i]; }) /
+         static_cast<double>(xs.size());
+}
+
 TEST(FeatureKernelTest, FloatReductionsMatchScalarBitwise) {
   for (const std::size_t n : sweep_lengths()) {
     for (const auto& xs : sweep_datasets(n, /*include_nonfinite=*/true)) {
-      const double mean = n == 0 ? 0.0 : kernels::lane_sum_scalar(xs) /
-                                             static_cast<double>(n);
+      const double mean = reference_mean(xs);
       const double scale = 1.0 / static_cast<double>(std::max<std::size_t>(
                                      1, n > 0 ? n - 1 : 1));
+      const double center = 0.37;
+      const double stddev = 1.7;
+      const double t_mean = (static_cast<double>(n) - 1.0) / 2.0;
+      // Term counts of the element, adjacent-pair and interior-point sums.
+      const std::size_t pairs = n >= 2 ? n - 1 : 0;
+      const std::size_t interior = n >= 3 ? n - 2 : 0;
+      auto ref = [](std::size_t count, auto term) {
+        return bits(lane_reference(count, term));
+      };
       SCOPED_TRACE("n=" + std::to_string(n));
 
       const auto se = kernels::sum_energy(xs);
-      const auto se_s = kernels::sum_energy_scalar(xs);
-      EXPECT_EQ(bits(se.sum), bits(se_s.sum));
-      EXPECT_EQ(bits(se.energy), bits(se_s.energy));
+      EXPECT_EQ(bits(se.sum), ref(n, [&](std::size_t i) { return xs[i]; }));
+      EXPECT_EQ(bits(se.energy),
+                ref(n, [&](std::size_t i) { return xs[i] * xs[i]; }));
 
-      EXPECT_EQ(bits(kernels::lane_sum(xs)), bits(kernels::lane_sum_scalar(xs)));
+      EXPECT_EQ(bits(kernels::lane_sum(xs)),
+                ref(n, [&](std::size_t i) { return xs[i]; }));
       EXPECT_EQ(bits(kernels::freq_weighted_sum(xs, scale)),
-                bits(kernels::freq_weighted_sum_scalar(xs, scale)));
-      EXPECT_EQ(bits(kernels::freq_spread_sum(xs, scale, 0.37)),
-                bits(kernels::freq_spread_sum_scalar(xs, scale, 0.37)));
+                ref(n, [&](std::size_t i) {
+                  return (static_cast<double>(i) * scale) * xs[i];
+                }));
+      EXPECT_EQ(bits(kernels::freq_spread_sum(xs, scale, center)),
+                ref(n, [&](std::size_t i) {
+                  const double d = static_cast<double>(i) * scale - center;
+                  return d * d * xs[i];
+                }));
       EXPECT_EQ(bits(kernels::centered_sq_sum(xs, mean)),
-                bits(kernels::centered_sq_sum_scalar(xs, mean)));
+                ref(n, [&](std::size_t i) {
+                  const double d = xs[i] - mean;
+                  return d * d;
+                }));
       EXPECT_EQ(bits(kernels::abs_change_sum(xs)),
-                bits(kernels::abs_change_sum_scalar(xs)));
+                ref(pairs, [&](std::size_t j) {
+                  return std::abs(xs[j + 1] - xs[j]);
+                }));
       EXPECT_EQ(bits(kernels::sq_change_sum(xs)),
-                bits(kernels::sq_change_sum_scalar(xs)));
-      EXPECT_EQ(bits(kernels::sq_zchange_sum(xs, mean, 1.7)),
-                bits(kernels::sq_zchange_sum_scalar(xs, mean, 1.7)));
+                ref(pairs, [&](std::size_t j) {
+                  const double d = xs[j + 1] - xs[j];
+                  return d * d;
+                }));
+      EXPECT_EQ(bits(kernels::sq_zchange_sum(xs, mean, stddev)),
+                ref(pairs, [&](std::size_t j) {
+                  const double d =
+                      (xs[j + 1] - mean) / stddev - (xs[j] - mean) / stddev;
+                  return d * d;
+                }));
       EXPECT_EQ(bits(kernels::second_derivative_sum(xs)),
-                bits(kernels::second_derivative_sum_scalar(xs)));
+                ref(interior, [&](std::size_t j) {
+                  return 0.5 * (xs[j + 2] - 2.0 * xs[j + 1] + xs[j]);
+                }));
 
-      const auto zm = kernels::zmoment_sums(xs, mean, 1.7);
-      const auto zm_s = kernels::zmoment_sums_scalar(xs, mean, 1.7);
-      EXPECT_EQ(bits(zm.z3), bits(zm_s.z3));
-      EXPECT_EQ(bits(zm.z4), bits(zm_s.z4));
+      const auto zm = kernels::zmoment_sums(xs, mean, stddev);
+      EXPECT_EQ(bits(zm.z3), ref(n, [&](std::size_t i) {
+                  const double z = (xs[i] - mean) / stddev;
+                  return z * z * z;
+                }));
+      EXPECT_EQ(bits(zm.z4), ref(n, [&](std::size_t i) {
+                  const double z = (xs[i] - mean) / stddev;
+                  const double zz = z * z;
+                  return zz * zz;
+                }));
 
-      const double t_mean = (static_cast<double>(n) - 1.0) / 2.0;
       const auto tr = kernels::trend_sums(xs, t_mean, mean);
-      const auto tr_s = kernels::trend_sums_scalar(xs, t_mean, mean);
-      EXPECT_EQ(bits(tr.stx), bits(tr_s.stx));
-      EXPECT_EQ(bits(tr.stt), bits(tr_s.stt));
-      EXPECT_EQ(bits(tr.sxx), bits(tr_s.sxx));
+      auto dt = [&](std::size_t i) { return static_cast<double>(i) - t_mean; };
+      auto dx = [&](std::size_t i) { return xs[i] - mean; };
+      EXPECT_EQ(bits(tr.stx),
+                ref(n, [&](std::size_t i) { return dt(i) * dx(i); }));
+      EXPECT_EQ(bits(tr.stt),
+                ref(n, [&](std::size_t i) { return dt(i) * dt(i); }));
+      EXPECT_EQ(bits(tr.sxx),
+                ref(n, [&](std::size_t i) { return dx(i) * dx(i); }));
 
       for (const std::size_t lag : {std::size_t{1}, std::size_t{2},
                                     std::size_t{5}}) {
-        if (n > lag) {
-          EXPECT_EQ(bits(kernels::centered_lag_mac(xs, mean, lag)),
-                    bits(kernels::centered_lag_mac_scalar(xs, mean, lag)));
-        }
-        if (n >= 2 * lag + 1) {
-          const auto c3 = kernels::c3_tr_sums(xs, lag);
-          const auto c3_s = kernels::c3_tr_sums_scalar(xs, lag);
-          EXPECT_EQ(bits(c3.c3), bits(c3_s.c3));
-          EXPECT_EQ(bits(c3.tr), bits(c3_s.tr));
-        }
+        SCOPED_TRACE("lag=" + std::to_string(lag));
+        EXPECT_EQ(bits(kernels::centered_lag_mac(xs, mean, lag)),
+                  ref(n > lag ? n - lag : 0, [&](std::size_t i) {
+                    return (xs[i] - mean) * (xs[i + lag] - mean);
+                  }));
+        const std::size_t triples = n >= 2 * lag + 1 ? n - 2 * lag : 0;
+        const auto c3 = kernels::c3_tr_sums(xs, lag);
+        EXPECT_EQ(bits(c3.c3), ref(triples, [&](std::size_t i) {
+                    return xs[i + 2 * lag] * xs[i + lag] * xs[i];
+                  }));
+        EXPECT_EQ(bits(c3.tr), ref(triples, [&](std::size_t i) {
+                    const double a = xs[i + 2 * lag];
+                    const double b = xs[i + lag];
+                    const double c = xs[i];
+                    return a * a * b - b * c * c;
+                  }));
       }
     }
   }
@@ -408,29 +506,46 @@ TEST(FeatureKernelTest, FloatReductionsMatchScalarBitwise) {
 
 TEST(FeatureKernelTest, IntegerTalliesMatchScalar) {
   for (const std::size_t n : sweep_lengths()) {
-    for (const auto& xs : sweep_datasets(n, /*include_nonfinite=*/true)) {
-      const double mean = n == 0 ? 0.0 : kernels::lane_sum_scalar(xs) /
-                                             static_cast<double>(n);
+    auto sets = sweep_datasets(n, /*include_nonfinite=*/true);
+    // Small integers: |x - mean| lands exactly on an integer threshold.
+    std::vector<double> steps(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      steps[i] = static_cast<double>((i * 7) % 5);
+    }
+    sets.push_back(std::move(steps));
+    for (const auto& xs : sets) {
+      const double mean = reference_mean(xs);
       SCOPED_TRACE("n=" + std::to_string(n));
 
       const auto rs = kernels::run_stats(xs, mean);
-      const auto rs_s = kernels::run_stats_scalar(xs, mean);
+      const auto rs_s = run_stats_scalar(xs, mean);
       EXPECT_EQ(rs.count_above, rs_s.count_above);
       EXPECT_EQ(rs.count_below, rs_s.count_below);
       EXPECT_EQ(rs.longest_above, rs_s.longest_above);
       EXPECT_EQ(rs.longest_below, rs_s.longest_below);
       EXPECT_EQ(rs.crossings, rs_s.crossings);
 
-      EXPECT_EQ(kernels::count_beyond(xs, mean, 1.5),
-                kernels::count_beyond_scalar(xs, mean, 1.5));
+      for (const double center : {mean, 2.0}) {
+        for (const double threshold : {0.0, 1.0, 1.5, 2.0}) {
+          const auto want = std::count_if(xs.begin(), xs.end(), [&](double x) {
+            return std::abs(x - center) > threshold;
+          });
+          EXPECT_EQ(kernels::count_beyond(xs, center, threshold),
+                    static_cast<std::size_t>(want))
+              << "center=" << center << " threshold=" << threshold;
+        }
+      }
     }
     std::vector<std::uint8_t> flags(n);
     for (std::size_t i = 0; i < n; ++i) {
       flags[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
     }
     for (const std::uint8_t bit : {std::uint8_t{1}, std::uint8_t{2}}) {
+      const auto want = std::count_if(
+          flags.begin(), flags.end(),
+          [bit](std::uint8_t f) { return (f & bit) != 0; });
       EXPECT_EQ(kernels::count_flag_bits(flags, bit),
-                kernels::count_flag_bits_scalar(flags, bit))
+                static_cast<std::size_t>(want))
           << "n=" << n;
     }
   }
@@ -536,39 +651,6 @@ TEST(FeatureKernelTest, BinnedEntropySortedMatchesScan) {
                   bits(binned_entropy(xs, bins, lo, hi)))
             << "n=" << n << " bins=" << bins;
       }
-    }
-  }
-}
-
-struct ScalarKernelGuard {
-  explicit ScalarKernelGuard(bool on) { kernels::force_scalar(on); }
-  ~ScalarKernelGuard() { kernels::force_scalar(false); }
-};
-
-TEST(FeatureKernelTest, ForceScalarPipelineBitEqual) {
-  // The whole-engine version of the per-kernel sweeps: flipping the
-  // dispatch seam must not change a single output bit for any feature on
-  // any series class, because every kernel's scalar oracle evaluates the
-  // same arithmetic DAG as its vector path.
-  const std::vector<std::vector<double>> series{
-      series_random(1024, 7), series_random(193, 8), series_spiky(1024, 9),
-      series_with_nans(512, 10), series_constant(256, 3.25),
-      std::vector<double>{}, std::vector<double>{4.0, -2.0}};
-  for (std::size_t s = 0; s < series.size(); ++s) {
-    std::vector<double> vec_out;
-    std::vector<double> scalar_out;
-    {
-      ScalarKernelGuard guard(false);
-      vec_out = compute_all_features(series[s]);
-    }
-    {
-      ScalarKernelGuard guard(true);
-      scalar_out = compute_all_features(series[s]);
-    }
-    ASSERT_EQ(vec_out.size(), scalar_out.size());
-    for (std::size_t i = 0; i < vec_out.size(); ++i) {
-      EXPECT_EQ(bits(vec_out[i]), bits(scalar_out[i]))
-          << "series " << s << ": " << feature_registry()[i].name;
     }
   }
 }

@@ -3,7 +3,6 @@
 // compute_all_features) over long replays, bit-exactly for every feature.
 #include "features/incremental_profile.hpp"
 
-#include "features/kernels.hpp"
 #include "features/registry.hpp"
 #include "features/series_preprocess.hpp"
 #include "features/series_profile.hpp"
@@ -260,57 +259,6 @@ TEST(IncrementalParityTest, LongReplaySlidingDftPath) {
   const auto data = make_replay(64 + 210 * 4, 202);
   const auto result = run_parity_replay(data, config);
   EXPECT_GE(result.windows, 200u);
-}
-
-/// Streams `data` hop by hop and collects every emitted feature vector,
-/// with the kernel dispatch seam forced to the requested side.
-std::vector<std::vector<double>> collect_replay_outputs(
-    const tensor::Matrix& data, const IncrementalConfig& config,
-    bool scalar) {
-  features::kernels::force_scalar(scalar);
-  const std::size_t cols = data.cols();
-  IncrementalNodeExtractor extractor(cols, replay_kinds(), config);
-  std::vector<std::vector<double>> outputs;
-  std::vector<double> got(cols * features::features_per_metric());
-  std::size_t fed = 0;
-  while (fed < data.rows()) {
-    const std::size_t chunk = fed == 0
-                                  ? config.window
-                                  : std::min(config.hop, data.rows() - fed);
-    if (fed + chunk > data.rows()) break;
-    if (extractor.absorb_and_extract(data.slice_rows(fed, chunk), got)) {
-      outputs.push_back(got);
-    }
-    fed += chunk;
-  }
-  features::kernels::force_scalar(false);
-  return outputs;
-}
-
-TEST(IncrementalParityTest, ForceScalarReplayBitEqual) {
-  // SIMD-vs-scalar over the whole streaming engine: the same replay run
-  // with the vector kernels and with their scalar oracles must emit
-  // bit-identical feature vectors at every hop — including the spectral
-  // family and the NaN-gap exact-fallback windows.
-  auto data = make_replay(64 + 60 * 16, 404);
-  for (std::size_t r = 100; r < data.rows(); r += 97) {
-    data.at(r, 0) = kNaN;  // gap-straddling windows hit the exact fallback
-  }
-  IncrementalConfig config;
-  config.window = 64;
-  config.hop = 16;
-  const auto vec = collect_replay_outputs(data, config, /*scalar=*/false);
-  const auto sca = collect_replay_outputs(data, config, /*scalar=*/true);
-  ASSERT_EQ(vec.size(), sca.size());
-  ASSERT_GT(vec.size(), 50u);
-  for (std::size_t w = 0; w < vec.size(); ++w) {
-    ASSERT_EQ(vec[w].size(), sca[w].size());
-    for (std::size_t i = 0; i < vec[w].size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(vec[w][i]),
-                std::bit_cast<std::uint64_t>(sca[w][i]))
-          << "window " << w << " index " << i;
-    }
-  }
 }
 
 TEST(IncrementalParityTest, NonPowerOfTwoWindow) {

@@ -3,6 +3,7 @@
 #include "stream/event_bus.hpp"
 #include "stream/sample_batch.hpp"
 #include "stream/window.hpp"
+#include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
 
@@ -291,6 +292,42 @@ TEST(AlertBusTest, FlappingVerdictsRaiseNoAlert) {
   EXPECT_EQ(transitions.size(), 1u);
   EXPECT_EQ(bus.verdicts_published(),
             bus.transitions_published() + bus.suppressed());
+}
+
+TEST(AlertBusTest, PublishCountersMatchBusTotals) {
+  // The exported counters move in step with the bus's own totals: one
+  // verdict per publish, split exactly into transitions and suppressed.
+  auto& registry = util::MetricsRegistry::global();
+  const util::Counter& verdicts = registry.counter("prodigy_stream_verdicts_total");
+  const util::Counter& transitions =
+      registry.counter("prodigy_stream_transitions_total");
+  const util::Counter& suppressed =
+      registry.counter("prodigy_stream_debounce_suppressed_total");
+  const util::Counter& drift = registry.counter("prodigy_stream_drift_events_total");
+  const std::uint64_t verdicts0 = verdicts.value();
+  const std::uint64_t transitions0 = transitions.value();
+  const std::uint64_t suppressed0 = suppressed.value();
+  const std::uint64_t drift0 = drift.value();
+
+  stream::EventBus bus({.debounce_windows = 3});
+  // Settle healthy, flap short of K, flip to anomalous, flap, flip back.
+  const std::string script = "HHHAHAAHAAAHAHAHHHHAA";
+  for (std::int64_t component = 1; component <= 2; ++component) {
+    std::uint64_t window = 0;
+    for (const char c : script) {
+      // Node 2 sees the script inverted, so both states settle and flip.
+      bus.publish(verdict(component, window++, (c == 'A') == (component == 1)));
+    }
+  }
+  bus.publish(stream::DriftEvent{});
+
+  EXPECT_EQ(bus.verdicts_published(), 2 * script.size());
+  EXPECT_GE(bus.transitions_published(), 4u);
+  EXPECT_GT(bus.suppressed(), 0u);
+  EXPECT_EQ(verdicts.value() - verdicts0, bus.verdicts_published());
+  EXPECT_EQ(transitions.value() - transitions0, bus.transitions_published());
+  EXPECT_EQ(suppressed.value() - suppressed0, bus.suppressed());
+  EXPECT_EQ(drift.value() - drift0, bus.drift_events_published());
 }
 
 TEST(AlertBusTest, DebounceOfOneForwardsEveryFlip) {

@@ -46,6 +46,8 @@ int main(int argc, char** argv) {
                  "(--job ID | --all | --jobs N) [--trim S] [--concurrency K] "
                  "[--repeat R] [--cache CAP] [--report] [--metrics-out PATH]\n");
   }
+  // Read up front so a bare --metrics-out exits 2 before any work.
+  const std::string metrics_out = flags.get("metrics-out", std::string());
   const std::size_t cache = flags.count("cache", 128);
   const std::size_t job_limit = flags.count("jobs", 0);
   const auto concurrency = std::max<std::size_t>(1, flags.count("concurrency", 1));
@@ -148,9 +150,8 @@ int main(int argc, char** argv) {
     }
   }
   if (flags.has("metrics-out")) {
-    const auto path = flags.get("metrics-out", std::string());
-    util::MetricsRegistry::global().write_file(path);
-    std::fprintf(stderr, "metrics -> %s\n", path.c_str());
+    util::MetricsRegistry::global().write_file(metrics_out);
+    std::fprintf(stderr, "metrics -> %s\n", metrics_out.c_str());
   }
   return 0;
 }

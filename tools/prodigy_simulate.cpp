@@ -3,7 +3,7 @@
 //   prodigy_simulate --out store.dsos [--system Eclipse|Volta]
 //                    [--scale 0.02] [--duration 300] [--seed 1]
 //                    [--metrics-out PATH]
-//   prodigy_simulate --out store.dsos --app LAMMPS --jobs 5 --nodes 4 \
+//   prodigy_simulate --out store.dsos --app LAMMPS --jobs 5 --nodes 4
 //                    [--anomaly memleak --intensity 1.0 --anomalous-nodes 1,3]
 //
 // Two modes: a whole system collection (the §5.2 ground-truth methodology,
@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
     tools::usage("usage: prodigy_simulate --out FILE "
                  "[--system Eclipse|Volta --scale S | --app NAME --jobs N]\n");
   }
+  const std::string metrics_out = flags.get("metrics-out", std::string());
   const std::size_t jobs = flags.count("jobs", 5);
   const std::size_t nodes = flags.count("nodes", 4);
   util::set_log_level(util::LogLevel::Warn);
@@ -87,9 +88,8 @@ int main(int argc, char** argv) {
   std::printf("wrote %zu jobs (%zu datapoints) to %s\n", store.job_count(),
               store.datapoint_count(), out.c_str());
   if (flags.has("metrics-out")) {
-    const auto path = flags.get("metrics-out", std::string());
-    util::MetricsRegistry::global().write_file(path);
-    std::printf("metrics -> %s\n", path.c_str());
+    util::MetricsRegistry::global().write_file(metrics_out);
+    std::printf("metrics -> %s\n", metrics_out.c_str());
   }
   return 0;
 }

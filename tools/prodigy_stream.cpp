@@ -179,6 +179,7 @@ int main(int argc, char** argv) {
         "                      [--replay FILE] [--out-store FILE] [--metrics-out PATH]\n"
         "       prodigy_stream --capture FILE [generation flags]\n");
   }
+  const std::string metrics_out = flags.get("metrics-out", std::string());
   stream::OnlineScorerConfig scorer_config;
   scorer_config.window = flags.count("window", 64);
   scorer_config.hop = flags.count("hop", 16);
@@ -379,9 +380,8 @@ int main(int argc, char** argv) {
     exit_code = verify_against_batch(store, bundle, scorer_config, verdicts);
   }
   if (flags.has("metrics-out")) {
-    const auto path = flags.get("metrics-out", std::string());
-    util::MetricsRegistry::global().write_file(path);
-    std::fprintf(stderr, "metrics -> %s\n", path.c_str());
+    util::MetricsRegistry::global().write_file(metrics_out);
+    std::fprintf(stderr, "metrics -> %s\n", metrics_out.c_str());
   }
   return exit_code;
 }

@@ -99,6 +99,7 @@ int main(int argc, char** argv) {
                  "       prodigy_train --store FILE --detector NAME [...]\n"
                  "       prodigy_train --list-detectors\n");
   }
+  const std::string metrics_out = flags.get("metrics-out", std::string());
   deploy::TrainFromStoreOptions options;
   options.preprocess.trim_seconds = flags.get("trim", 60.0);
   options.top_k_features = flags.count("features", 2000);
@@ -132,9 +133,8 @@ int main(int argc, char** argv) {
               timer.elapsed_seconds(), service.bundle().detector.threshold(),
               service.bundle().metadata.feature_names.size(), out.c_str());
   if (flags.has("metrics-out")) {
-    const auto path = flags.get("metrics-out", std::string());
-    util::MetricsRegistry::global().write_file(path);
-    std::printf("metrics -> %s\n", path.c_str());
+    util::MetricsRegistry::global().write_file(metrics_out);
+    std::printf("metrics -> %s\n", metrics_out.c_str());
   }
   return 0;
 }

@@ -2,7 +2,8 @@
 # on any unexpected exit status or any "MISMATCH" line.  The stream replays
 # run --verify-batch (bitwise stream-vs-batch scores) at W=64/H=16
 # (incremental extraction), W=64/H=64 (full recompute) and W=300/H=7
-# (approximate entropy's subsample stride is not an integer there).
+# (approximate entropy's subsample stride is not an integer there).  Usage
+# errors (a negative count, a value flag without its value) must exit 2.
 #   cmake -DSIMULATE=... -DTRAIN=... -DPREDICT=... -DSTREAM=... -P smoke.cmake
 # It writes store.dsos and model/ into the working directory.
 function(run_tool expected)
@@ -33,3 +34,6 @@ foreach(shape "64;16" "64;64" "300;7")
 endforeach()
 # A negative count is a usage error, not a wrapped size_t.
 run_tool(2 ${PREDICT} --store store.dsos --model model --all --repeat -1)
+# So is a value flag given without its value.
+run_tool(2 ${TRAIN} --store store.dsos --out model --epochs)
+run_tool(2 ${PREDICT} --store store.dsos --model model --all --metrics-out)
