@@ -1,4 +1,4 @@
-// Shared plumbing for the experiment binaries: a tiny flag parser, the
+// Shared plumbing for the experiment binaries: the tools' flag parser, the
 // Figure-5 dataset builders (scaled-down by default for single-core runs;
 // every knob exposed as a flag so paper-scale runs are one command away),
 // and the detector factory used across benches.
@@ -14,52 +14,18 @@
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
+#include "tool_common.hpp"
+
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <string>
 
 namespace prodigy::bench {
 
-/// "--name value" and "--name=value" flags; everything else is ignored.
-class Flags {
- public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
-      arg = arg.substr(2);
-      const auto eq = arg.find('=');
-      if (eq != std::string::npos) {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[arg] = argv[++i];
-      } else {
-        values_[arg] = "1";
-      }
-    }
-  }
-
-  double get(const std::string& name, double fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-  std::size_t get(const std::string& name, std::size_t fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : static_cast<std::size_t>(std::atoll(it->second.c_str()));
-  }
-  std::string get(const std::string& name, const std::string& fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-  bool has(const std::string& name) const { return values_.contains(name); }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+/// The command-line tools' flag parser: a value flag given bare, or a
+/// count flag given a negative or non-numeric value, exits 2 naming it.
+using Flags = tools::Flags;
 
 struct DatasetOptions {
   double scale = 0.035;       // fraction of the paper's run counts
@@ -73,9 +39,9 @@ inline DatasetOptions dataset_options_from_flags(const Flags& flags) {
   DatasetOptions options;
   options.scale = flags.get("scale", options.scale);
   options.duration_s = flags.get("duration", options.duration_s);
-  options.top_k_features = flags.get("features", options.top_k_features);
+  options.top_k_features = flags.count("features", options.top_k_features);
   options.trim_seconds = flags.get("trim", options.trim_seconds);
-  options.seed = flags.get("seed", static_cast<std::size_t>(options.seed));
+  options.seed = flags.count("seed", static_cast<std::size_t>(options.seed));
   return options;
 }
 
@@ -116,10 +82,10 @@ struct ModelOptions {
 
 inline ModelOptions model_options_from_flags(const Flags& flags) {
   ModelOptions options;
-  options.epochs = flags.get("epochs", options.epochs);
-  options.batch_size = flags.get("batch", options.batch_size);
+  options.epochs = flags.count("epochs", options.epochs);
+  options.batch_size = flags.count("batch", options.batch_size);
   options.learning_rate = flags.get("lr", options.learning_rate);
-  options.usad_epochs = flags.get("usad-epochs", options.usad_epochs);
+  options.usad_epochs = flags.count("usad-epochs", options.usad_epochs);
   return options;
 }
 

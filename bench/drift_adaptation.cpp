@@ -195,14 +195,14 @@ void print_row(const char* label, const PassOutcome& outcome) {
 
 int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const auto nodes = flags.get("nodes", static_cast<std::size_t>(8));
+  const auto nodes = flags.count("nodes", static_cast<std::size_t>(8));
   const double duration = flags.get("duration", 1536.0);
   const double drift = flags.get("drift", 0.35);
   const double anomaly_start = flags.get("anomaly-start", 0.55);
-  const auto window = flags.get("window", static_cast<std::size_t>(64));
-  const auto hop = flags.get("hop", static_cast<std::size_t>(16));
-  const auto train_jobs = flags.get("train-jobs", static_cast<std::size_t>(6));
-  const auto train_nodes = flags.get("train-nodes", static_cast<std::size_t>(4));
+  const auto window = flags.count("window", static_cast<std::size_t>(64));
+  const auto hop = flags.count("hop", static_cast<std::size_t>(16));
+  const auto train_jobs = flags.count("train-jobs", static_cast<std::size_t>(6));
+  const auto train_nodes = flags.count("train-nodes", static_cast<std::size_t>(4));
   const double train_duration = flags.get("train-duration", 80.0);
 
   // --- Day-one bundle: healthy-only telemetry, no drift (variance feature
@@ -222,10 +222,10 @@ int main(int argc, char** argv) {
   }
   deploy::TrainFromStoreOptions options;
   options.preprocess.trim_seconds = 20;
-  options.top_k_features = flags.get("features", static_cast<std::size_t>(64));
+  options.top_k_features = flags.count("features", static_cast<std::size_t>(64));
   options.model.vae.encoder_hidden = {24, 8};
   options.model.vae.latent_dim = 3;
-  options.model.train.epochs = flags.get("epochs", static_cast<std::size_t>(120));
+  options.model.train.epochs = flags.count("epochs", static_cast<std::size_t>(120));
   options.model.train.batch_size = 16;
   options.model.train.learning_rate = 2e-3;
   options.model.train.validation_split = 0.0;
@@ -269,12 +269,12 @@ int main(int argc, char** argv) {
 
   adapt::AdaptationConfig adapt_config;
   adapt_config.drift.warmup_observations =
-      flags.get("adapt-warmup", static_cast<std::size_t>(64));
+      flags.count("adapt-warmup", static_cast<std::size_t>(64));
   adapt_config.drift.lambda = flags.get("adapt-lambda", 8.0);
   adapt_config.refit_epochs =
-      flags.get("refit-epochs", static_cast<std::size_t>(40));
+      flags.count("refit-epochs", static_cast<std::size_t>(40));
   adapt_config.min_refit_samples =
-      flags.get("adapt-min-refit", static_cast<std::size_t>(64));
+      flags.count("adapt-min-refit", static_cast<std::size_t>(64));
   adapt_config.synchronous = true;  // swap points interleave with scoring
 
   std::printf("## drift_adaptation (frozen vs adaptive on a drifting replay)\n\n");

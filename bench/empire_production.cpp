@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const double degradation = flags.get("degradation", 0.6);
   const auto model_options = bench::model_options_from_flags(flags);
 
-  util::Rng seed_rng(flags.get("seed", static_cast<std::size_t>(23)));
+  util::Rng seed_rng(flags.count("seed", static_cast<std::size_t>(23)));
   std::vector<telemetry::JobTelemetry> healthy_jobs, degraded_jobs;
   for (int j = 0; j < 7; ++j) {
     telemetry::RunConfig config;
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   selection_data.scale = flags.get("selection-scale", 0.01);
   selection_data.duration_s = flags.get("selection-duration", 120.0);
   selection_data.top_k_features =
-      flags.get("features", static_cast<std::size_t>(1024));
+      flags.count("features", static_cast<std::size_t>(1024));
   selection_data.trim_seconds = 20.0;
   telemetry::DatasetSpec selection_spec = telemetry::eclipse_dataset_spec(
       selection_data.scale, selection_data.duration_s);

@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   auto data_options = bench::dataset_options_from_flags(flags);
   const auto model_options = bench::model_options_from_flags(flags);
-  const std::size_t rounds = flags.get("rounds", static_cast<std::size_t>(3));
+  const std::size_t rounds = flags.count("rounds", static_cast<std::size_t>(3));
 
   // Build once with ALL columns; sweep selects subsets.
   data_options.top_k_features = static_cast<std::size_t>(-1);

@@ -174,9 +174,11 @@ void BM_IncrementalHop(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalHop)
     ->Args({64, 16})
+    ->Args({64, 64})
     ->Args({256, 16})
     ->Args({1024, 16})
     ->Args({1024, 64})
+    ->Args({1024, 1024})
     ->Args({4096, 16})
     ->Unit(benchmark::kMicrosecond);
 
@@ -184,6 +186,8 @@ BENCHMARK(BM_IncrementalHop)
 /// windows: gather the column's window, clean it window-locally (gap
 /// interpolation, counter rates) and run the full single-pass engine —
 /// what the streaming scorer's kFullRecompute mode pays per column per hop.
+/// The scorer routes the tumbling shapes (hop >= window) here: 64/64 and
+/// 1024/1024 compare the two paths at them (EXPERIMENTS.md).
 void BM_FullRecomputeHop(benchmark::State& state) {
   const auto window = static_cast<std::size_t>(state.range(0));
   const auto hop = static_cast<std::size_t>(state.range(1));
@@ -211,9 +215,11 @@ void BM_FullRecomputeHop(benchmark::State& state) {
 }
 BENCHMARK(BM_FullRecomputeHop)
     ->Args({64, 16})
+    ->Args({64, 64})
     ->Args({256, 16})
     ->Args({1024, 16})
     ->Args({1024, 64})
+    ->Args({1024, 1024})
     ->Args({4096, 16})
     ->Unit(benchmark::kMicrosecond);
 

@@ -5,8 +5,8 @@
 // test).  Paper reference values: Prodigy 0.95 / 0.88, USAD 0.68 / 0.84,
 // Majority ~0.47, Random ~0.39-0.47, IF 0.31 / 0.86, LOF 0.15 / ~0.6.
 //
-// Defaults are budget-scaled for a single core; paper scale:
-//   fig5_baseline_comparison --scale 1.0 --duration 1800 --trim 60 \
+// Defaults are budget-scaled for a single core; paper scale (one command):
+//   fig5_baseline_comparison --scale 1.0 --duration 1800 --trim 60
 //     --features 2000 --epochs 2400 --batch 256 --lr 1e-4 --rounds 5
 #include "bench_common.hpp"
 
@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   const auto data_options = bench::dataset_options_from_flags(flags);
   const auto model_options = bench::model_options_from_flags(flags);
-  const std::size_t rounds = flags.get("rounds", static_cast<std::size_t>(5));
+  const std::size_t rounds = flags.count("rounds", static_cast<std::size_t>(5));
 
   std::printf("=== Figure 5: Prodigy vs baselines (macro average F1, %zu rounds) ===\n",
               rounds);

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   util::set_log_level(util::LogLevel::Warn);
   const bench::Flags flags(argc, argv);
   const double duration = flags.get("duration", 240.0);
-  const std::size_t repeats = flags.get("repeats", static_cast<std::size_t>(10));
-  const std::size_t top_k = flags.get("features", static_cast<std::size_t>(256));
+  const std::size_t repeats = flags.count("repeats", static_cast<std::size_t>(10));
+  const std::size_t top_k = flags.count("features", static_cast<std::size_t>(256));
   const auto model_options = bench::model_options_from_flags(flags);
 
   // --- Data collection: 4 apps x (5 healthy + 5 memleak) runs x 4 nodes. ---
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const hpas::AnomalySpec memleak{hpas::AnomalyKind::Memleak, 1.0, "-s 10M -p 1"};
   std::vector<telemetry::JobTelemetry> jobs;
   std::int64_t job_id = 1;
-  util::Rng seed_rng(flags.get("seed", static_cast<std::size_t>(7)));
+  util::Rng seed_rng(flags.count("seed", static_cast<std::size_t>(7)));
   for (const auto& app : apps) {
     for (int run = 0; run < 10; ++run) {
       telemetry::RunConfig config;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   util::CsvTable csv;
   csv.header = {"n_healthy", "mean_f1", "stddev"};
 
-  util::Rng rng(flags.get("seed", static_cast<std::size_t>(7)) ^ 0x515);
+  util::Rng rng(flags.count("seed", static_cast<std::size_t>(7)) ^ 0x515);
   for (const std::size_t n_healthy : {4u, 8u, 16u, 32u, 48u, 64u}) {
     std::vector<double> f1s;
     for (std::size_t repeat = 0; repeat < repeats; ++repeat) {

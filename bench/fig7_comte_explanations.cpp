@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   util::set_log_level(util::LogLevel::Warn);
   const bench::Flags flags(argc, argv);
   const double duration = flags.get("duration", 240.0);
-  const std::size_t healthy_jobs = flags.get("healthy-jobs", static_cast<std::size_t>(6));
+  const std::size_t healthy_jobs =
+      flags.count("healthy-jobs", static_cast<std::size_t>(6));
   const auto model_options = bench::model_options_from_flags(flags);
 
   // The paper's Fig. 7 shows Empire runs; a leaner default app keeps the slow
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   const std::string app_name = flags.get("app", std::string("LAMMPS"));
   deploy::DsosStore store;
   std::vector<std::int64_t> train_jobs;
-  util::Rng seed_rng(flags.get("seed", static_cast<std::size_t>(13)));
+  util::Rng seed_rng(flags.count("seed", static_cast<std::size_t>(13)));
 
   // Healthy Empire runs for training, plus two memleak runs so the offline
   // chi-square selection has anomalous samples (paper: 24 suffice).
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
 
   deploy::TrainFromStoreOptions options;
   options.preprocess.trim_seconds = flags.get("trim", 30.0);
-  options.top_k_features = flags.get("features", static_cast<std::size_t>(192));
+  options.top_k_features = flags.count("features", static_cast<std::size_t>(192));
   options.model = bench::prodigy_config(model_options);
   options.system_name = "Eclipse";
 

@@ -320,23 +320,23 @@ std::vector<std::size_t> parse_counts(const std::string& csv) {
 }
 
 int run_sharded(const bench::Flags& flags) {
-  const auto fleet = flags.get("fleet", static_cast<std::size_t>(1024));
-  const auto ticks = flags.get("ticks", static_cast<std::size_t>(96));
+  const auto fleet = flags.count("fleet", static_cast<std::size_t>(1024));
+  const auto ticks = flags.count("ticks", static_cast<std::size_t>(96));
   const auto tenant_nodes =
-      flags.get("tenant-nodes", static_cast<std::size_t>(16));
+      flags.count("tenant-nodes", static_cast<std::size_t>(16));
   const auto query_clients =
-      flags.get("query-clients", static_cast<std::size_t>(2));
-  const auto burst = flags.get("burst", static_cast<std::size_t>(8));
+      flags.count("query-clients", static_cast<std::size_t>(2));
+  const auto burst = flags.count("burst", static_cast<std::size_t>(8));
   const auto bursts_per_client =
-      flags.get("bursts-per-client", static_cast<std::size_t>(16));
-  const auto window = flags.get("window", static_cast<std::size_t>(32));
-  const auto hop = flags.get("hop", static_cast<std::size_t>(16));
+      flags.count("bursts-per-client", static_cast<std::size_t>(16));
+  const auto window = flags.count("window", static_cast<std::size_t>(32));
+  const auto hop = flags.count("hop", static_cast<std::size_t>(16));
   const auto shard_counts =
       parse_counts(flags.get("shard-counts", std::string("1,2,4,8")));
   const auto overload_shards =
-      flags.get("overload-shards", static_cast<std::size_t>(2));
+      flags.count("overload-shards", static_cast<std::size_t>(2));
   // Must be below overload_shards * queue_capacity (4) or it can never trip.
-  const auto budget = flags.get("budget", static_cast<std::size_t>(4));
+  const auto budget = flags.count("budget", static_cast<std::size_t>(4));
 
   FleetLayout layout;
   layout.fleet_nodes = fleet;
@@ -361,10 +361,10 @@ int run_sharded(const bench::Flags& flags) {
   }
   deploy::TrainFromStoreOptions options;
   options.preprocess.trim_seconds = 20;
-  options.top_k_features = flags.get("features", static_cast<std::size_t>(64));
+  options.top_k_features = flags.count("features", static_cast<std::size_t>(64));
   options.model.vae.encoder_hidden = {24, 8};
   options.model.vae.latent_dim = 3;
-  options.model.train.epochs = flags.get("epochs", static_cast<std::size_t>(80));
+  options.model.train.epochs = flags.count("epochs", static_cast<std::size_t>(80));
   options.model.train.batch_size = 16;
   options.model.train.learning_rate = 2e-3;
   options.model.train.validation_split = 0.0;
@@ -402,7 +402,7 @@ int run_sharded(const bench::Flags& flags) {
   // the wedged queues stall producers (offer p99 ~ flush time); on, the
   // dispatcher sheds whole batches up front and the offer path stays bounded.
   const auto flush_delay = std::chrono::microseconds(
-      flags.get("flush-delay-us", static_cast<std::size_t>(400)));
+      flags.count("flush-delay-us", static_cast<std::size_t>(400)));
   std::printf("\n## sharded service: overload admission (%zu shards, "
               "budget %zu batches, %lldus/flush fault)\n\n",
               overload_shards, budget,
@@ -430,10 +430,10 @@ int run_sharded(const bench::Flags& flags) {
 int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
   if (flags.has("sharded")) return run_sharded(flags);
-  const auto job_count = flags.get("jobs", static_cast<std::size_t>(24));
-  const auto nodes = flags.get("nodes", static_cast<std::size_t>(4));
+  const auto job_count = flags.count("jobs", static_cast<std::size_t>(24));
+  const auto nodes = flags.count("nodes", static_cast<std::size_t>(4));
   const double duration = flags.get("duration", 80.0);
-  const auto repeat = flags.get("repeat", static_cast<std::size_t>(3));
+  const auto repeat = flags.count("repeat", static_cast<std::size_t>(3));
   const bool explain = flags.has("explain");
 
   deploy::DsosStore store;
@@ -462,10 +462,10 @@ int main(int argc, char** argv) {
 
   deploy::TrainFromStoreOptions options;
   options.preprocess.trim_seconds = 20;
-  options.top_k_features = flags.get("features", static_cast<std::size_t>(64));
+  options.top_k_features = flags.count("features", static_cast<std::size_t>(64));
   options.model.vae.encoder_hidden = {24, 8};
   options.model.vae.latent_dim = 3;
-  options.model.train.epochs = flags.get("epochs", static_cast<std::size_t>(120));
+  options.model.train.epochs = flags.count("epochs", static_cast<std::size_t>(120));
   options.model.train.batch_size = 16;
   options.model.train.learning_rate = 2e-3;
   options.model.train.validation_split = 0.0;

@@ -131,10 +131,10 @@ PassResult run_pass(const core::ModelBundle& bundle,
 
 int main(int argc, char** argv) {
   const bench::Flags flags(argc, argv);
-  const auto nodes = flags.get("nodes", static_cast<std::size_t>(32));
+  const auto nodes = flags.count("nodes", static_cast<std::size_t>(32));
   const double duration = flags.get("duration", 600.0);
-  const auto train_jobs = flags.get("train-jobs", static_cast<std::size_t>(8));
-  const auto train_nodes = flags.get("train-nodes", static_cast<std::size_t>(4));
+  const auto train_jobs = flags.count("train-jobs", static_cast<std::size_t>(8));
+  const auto train_nodes = flags.count("train-nodes", static_cast<std::size_t>(4));
   const double train_duration = flags.get("train-duration", 80.0);
 
   // --- Train a budget bundle from a small batch store (same recipe as the
@@ -155,10 +155,10 @@ int main(int argc, char** argv) {
   }
   deploy::TrainFromStoreOptions options;
   options.preprocess.trim_seconds = 20;
-  options.top_k_features = flags.get("features", static_cast<std::size_t>(64));
+  options.top_k_features = flags.count("features", static_cast<std::size_t>(64));
   options.model.vae.encoder_hidden = {24, 8};
   options.model.vae.latent_dim = 3;
-  options.model.train.epochs = flags.get("epochs", static_cast<std::size_t>(120));
+  options.model.train.epochs = flags.count("epochs", static_cast<std::size_t>(120));
   options.model.train.batch_size = 16;
   options.model.train.learning_rate = 2e-3;
   options.model.train.validation_split = 0.0;

@@ -121,26 +121,36 @@ void copy_ring(std::span<const double> ring, std::uint64_t start,
   std::copy_n(ring.data(), count - first, out + first);
 }
 
-struct ExtremaScan {
-  double min = 0.0, max = 0.0;
-  std::size_t first_max = 0, last_max = 0, first_min = 0, last_min = 0;
+struct ExtremeRun {
+  std::size_t first = 0, last = 0;
 };
 
-/// The SeriesProfile pass-1 extrema loop, verbatim, so incremental rescans
-/// reproduce the batch tie rules (first strict, last loose) bit for bit.
-ExtremaScan scan_extrema(std::span<const double> xs) {
-  ExtremaScan r;
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    if (xs[i] > xs[r.first_max]) r.first_max = i;
-    if (xs[i] < xs[r.first_min]) r.first_min = i;
-    if (!(xs[r.last_max] > xs[i])) r.last_max = i;
-    if (!(xs[r.last_min] < xs[i])) r.last_min = i;
+/// The smallest and largest window position (row - start, mod 2^32) in the
+/// run of equal values at one end of a window's carried order: the minima
+/// from the front, the maxima from the back.  That is SeriesProfile's tie
+/// rule (first strict, last loose).  With `skip_first` (a counter window)
+/// the entry at position 0 is skipped, because its g is not f[0]; f[0] =
+/// f[1] then puts position 0 in any run that holds position 1.
+ExtremeRun extreme_run(std::span<const double> values,
+                       std::span<const std::uint32_t> rows,
+                       std::uint32_t start, bool skip_first, bool from_back) {
+  const std::size_t n = values.size();
+  ExtremeRun run{n, 0};
+  std::size_t head = n;  // the run's first entry scanned, once found
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = from_back ? n - 1 - i : i;
+    const std::size_t pos = static_cast<std::uint32_t>(rows[k] - start);
+    if (skip_first && pos == 0) continue;
+    if (head == n) {
+      head = k;
+    } else if (values[k] != values[head]) {
+      break;
+    }
+    run.first = std::min(run.first, pos);
+    run.last = std::max(run.last, pos);
   }
-  if (!xs.empty()) {
-    r.min = xs[r.first_min];
-    r.max = xs[r.first_max];
-  }
-  return r;
+  if (skip_first && run.first == 1) run.first = 0;
+  return run;
 }
 
 }  // namespace
@@ -176,25 +186,14 @@ struct IncrementalNodeExtractor::MetricState {
   bool has_raw = false;
   std::uint64_t hard_until = 0;  // emissions with end <= this must fall back
 
-  // Rolling shifted sum over the window's g values: the drift sentinel
-  // that cross-checks push/retire consistency against the exact
-  // per-emission sum.  (All linear aggregates — sum, energy, successive
-  // differences — are recomputed exactly per emission; only the sorted
-  // window and the extrema carry state, because those are the
-  // structures whose from-scratch rebuild is super-linear.)
-  double k_shift = 0.0;    // K: re-centered at each rebuild
-  double sum_shift = 0.0;  // sum of (g - K)
-  // The window's g values in ascending order.  While a rebuild is due (a
-  // fresh state, or after an exact fallback) new rows are not queued: the
-  // rebuild sorts the whole window from the pre ring anyway.
+  // The window's g values in ascending order: the one carried structure
+  // whose from-scratch rebuild is super-linear.  (All linear aggregates —
+  // sum, energy, successive differences — are recomputed exactly per
+  // emission.)  While a rebuild is due (a fresh state, or after an exact
+  // fallback) new rows are not queued: the rebuild sorts the whole window
+  // from the pre ring anyway.
   SortedWindow sorted;
   bool needs_rebuild = true;
-
-  // Extrema over g with global indices (gauges only; counter windows
-  // rescan at emission because their first element differs from g).
-  bool extrema_valid = false;
-  double min_v = 0.0, max_v = 0.0;
-  std::uint64_t first_max = 0, last_max = 0, first_min = 0, last_min = 0;
 
   // Rolling integer window statistics.  Bit b of peak_flags[t % W] records
   // whether position t is a strict local maximum within kPeakSupports[b]
@@ -208,26 +207,14 @@ struct IncrementalNodeExtractor::MetricState {
   std::vector<std::uint8_t> peak_flags;
   std::array<std::uint32_t, 9> digit_counts{};
   std::uint32_t digit_counted = 0;  // finite, non-zero g in the window
-
-  std::uint64_t emissions_since_rebuild = 0;
 };
 
 namespace {
-
-/// How one metric-window was produced (tallied into IncrementalStats).
-enum class Emission : std::uint8_t {
-  kIncremental,
-  kExactFallback,
-  kScheduledRebuild,
-  kDriftRebuild,
-};
 
 /// The extractor's registry counters, resolved once per process.
 struct IncrementalMetrics {
   util::Counter* windows;
   util::Counter* exact_fallbacks;
-  util::Counter* scheduled_recomputes;
-  util::Counter* drift_recomputes;
 
   static IncrementalMetrics& instance() {
     static IncrementalMetrics metrics = [] {
@@ -236,10 +223,6 @@ struct IncrementalMetrics {
       m.windows = &registry.counter("prodigy_features_incremental_windows_total");
       m.exact_fallbacks = &registry.counter(
           "prodigy_features_incremental_exact_fallbacks_total");
-      m.scheduled_recomputes = &registry.counter(
-          "prodigy_features_incremental_scheduled_recomputes_total");
-      m.drift_recomputes = &registry.counter(
-          "prodigy_features_incremental_drift_recomputes_total");
       return m;
     }();
     return metrics;
@@ -276,10 +259,11 @@ struct IncrementalNodeExtractor::Impl {
   void push_raw(MetricState& st, std::size_t m, double x, std::uint64_t p);
   void push_resolved(MetricState& st, std::size_t m, double value,
                      std::uint64_t q);
-  void rebuild_state(MetricState& st, std::uint64_t end) const;
-  Emission extract_metric(MetricState& st, std::size_t m,
-                          const MetricPlan& plan, std::span<double> out,
-                          FeatureScratch& scratch, std::uint64_t end);
+  /// Writes one metric-window's features; returns true when it took the
+  /// exact fallback.
+  bool extract_metric(MetricState& st, std::size_t m, const MetricPlan& plan,
+                      std::span<double> out, FeatureScratch& scratch,
+                      std::uint64_t end);
 };
 
 void IncrementalNodeExtractor::Impl::push_raw(MetricState& st, std::size_t m,
@@ -331,7 +315,6 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
     // Retire row q - W (q - W = q + 1 mod W + 1): read everything before
     // this push overwrites slots.
     const std::size_t old = slot + 1 == cap ? 0 : slot + 1;
-    st.sum_shift -= st.pre[old] - st.k_shift;
     if (const std::uint8_t d = st.digit[old]; d != 0) {
       --st.digit_counts[d - 1];
       --st.digit_counted;
@@ -350,7 +333,6 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
   st.has_raw = true;
 
   st.pre[slot] = g;
-  st.sum_shift += g - st.k_shift;
   if (!st.needs_rebuild) st.sorted.push(g, q);
   const auto digit = static_cast<std::uint8_t>(benford_first_digit(g));
   st.digit[slot] = digit;
@@ -388,56 +370,9 @@ void IncrementalNodeExtractor::Impl::push_resolved(MetricState& st,
       flags = static_cast<std::uint8_t>((flags & ~bit) | (is_peak ? bit : 0u));
     }
   }
-
-  if (!is_counter[m]) {
-    if (!st.extrema_valid) {
-      st.extrema_valid = true;
-      st.min_v = st.max_v = g;
-      st.first_max = st.last_max = st.first_min = st.last_min = q;
-    } else {
-      if (g > st.max_v) {
-        st.max_v = g;
-        st.first_max = st.last_max = q;
-      } else if (!(st.max_v > g)) {
-        st.last_max = q;
-      }
-      if (g < st.min_v) {
-        st.min_v = g;
-        st.first_min = st.last_min = q;
-      } else if (!(st.min_v < g)) {
-        st.last_min = q;
-      }
-    }
-  }
 }
 
-void IncrementalNodeExtractor::Impl::rebuild_state(MetricState& st,
-                                                   std::uint64_t end) const {
-  const std::size_t W = config.window;
-  const std::uint64_t start = end - W;
-
-  std::vector<double> window(W);
-  copy_ring(st.pre, start, W, window.data());
-
-  double sum = 0.0;
-  for (double g : window) sum += g;
-  st.k_shift = sum / static_cast<double>(W);  // re-center at the window mean
-  st.sum_shift = 0.0;
-  for (double g : window) st.sum_shift += g - st.k_shift;
-  st.sorted.rebuild(window, start);
-
-  const ExtremaScan ex = scan_extrema(window);
-  st.extrema_valid = true;
-  st.min_v = ex.min;
-  st.max_v = ex.max;
-  st.first_max = start + ex.first_max;
-  st.last_max = start + ex.last_max;
-  st.first_min = start + ex.first_min;
-  st.last_min = start + ex.last_min;
-  st.needs_rebuild = false;
-}
-
-Emission IncrementalNodeExtractor::Impl::extract_metric(
+bool IncrementalNodeExtractor::Impl::extract_metric(
     MetricState& st, std::size_t m, const MetricPlan& plan,
     std::span<double> out, FeatureScratch& scratch, std::uint64_t end) {
   const std::size_t W = config.window;
@@ -464,15 +399,30 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
     compute_all_features(scratch.column, out, scratch, plan);
     st.sorted.clear();
     st.needs_rebuild = true;
-    return Emission::kExactFallback;
+    return true;
   }
 
-  // Materialize the cleaned window f.  For counters the stream keeps
-  // global diffs, so only f[0] differs (the batch window-local boundary
-  // rule rates[0] = rates[1]); everything carried incrementally over g is
-  // corrected for that single element in O(1) below.
+  // Materialize the window's g values and bring the carried order to it:
+  // advance it, or sort the window once when a rebuild is due or the
+  // advanced order's size is not W (its rows do not cover the window).
   scratch.column.resize(W);
   copy_ring(st.pre, start, W, scratch.column.data());
+  if (!st.needs_rebuild) {
+    st.sorted.advance(start);
+    st.needs_rebuild = st.sorted.size() != W;
+  }
+  if (st.needs_rebuild) {
+    st.sorted.rebuild(scratch.column, start);
+    st.needs_rebuild = false;
+  }
+  const std::span<const double> sorted_g = st.sorted.values();
+  const std::span<const std::uint32_t> rows = st.sorted.rows();
+  const auto s32 = static_cast<std::uint32_t>(start);
+
+  // The cleaned window f.  For counters the stream keeps global diffs, so
+  // only f[0] differs (the batch window-local boundary rule rates[0] =
+  // rates[1]); everything read off the carried state is corrected for that
+  // single element below.
   const double g_s = scratch.column[0];
   if (counter) scratch.column[0] = scratch.column[1];
   const std::span<const double> f(scratch.column.data(), W);
@@ -480,80 +430,35 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
 
   // Exact linear aggregates: the same lane kernel the batch profile's
   // pass 1 uses, so every feature derived from sum/energy is bit-exact
-  // against it.  The rolling-sum drift sentinel cross-checks the carried
-  // structures against the exact sum.
+  // against it.
   const auto se = kernels::sum_energy(f);
-  const double sum_f = se.sum;
-  const double energy_f = se.energy;
-  double sum_g = sum_f;
-  if (counter) sum_g += g_s - f0;
-  const double rolling_sum =
-      st.sum_shift + static_cast<double>(W) * st.k_shift;
-  const double scale =
-      std::sqrt(std::max(0.0, energy_f) * static_cast<double>(W));
-
-  Emission path = Emission::kIncremental;
-  bool rebuild = st.needs_rebuild;
-  if (++st.emissions_since_rebuild >= config.recompute_interval) {
-    rebuild = true;
-    path = Emission::kScheduledRebuild;
-  } else if (std::abs(rolling_sum - sum_g) >
-             config.drift_tolerance * std::max(scale, 1e-12)) {
-    rebuild = true;
-    path = Emission::kDriftRebuild;
-  }
-  if (!rebuild) {
-    // Carry the sorted window forward; a size mismatch means the carried
-    // rows do not cover the window, so rebuild it from the ring instead.
-    st.sorted.advance(start);
-    rebuild = st.sorted.size() != W;
-  }
-  if (rebuild) {
-    rebuild_state(st, end);
-    st.emissions_since_rebuild = 0;
-  }
 
   SeriesProfile p;
   p.xs = f;
   p.n = W;
-  p.sum = sum_f;
-  p.mean = sum_f / static_cast<double>(W);
+  p.sum = se.sum;
+  p.mean = se.sum / static_cast<double>(W);
   p.variance = kernels::centered_sq_sum(f, p.mean) / static_cast<double>(W);
   p.stddev = std::sqrt(p.variance);
 
   // Exact pass 3 through the batch profile's kernel: f already carries the
   // counter-mode f[0] = f[1] substitution, so no boundary corrections are
   // needed and the result is bit-identical to the batch profile.
-  p.abs_energy = energy_f;
+  p.abs_energy = se.energy;
   p.abs_change_sum = kernels::abs_change_sum(f);
 
-  // Extrema: incremental state with expiry-aware rescan (counters always
-  // rescan because their f[0] differs from the tracked g[start]).
-  if (counter || !st.extrema_valid || st.first_max < start ||
-      st.first_min < start) {
-    const ExtremaScan ex = scan_extrema(f);
-    p.min = ex.min;
-    p.max = ex.max;
-    p.first_max = ex.first_max;
-    p.last_max = ex.last_max;
-    p.first_min = ex.first_min;
-    p.last_min = ex.last_min;
-    if (!counter) {
-      st.extrema_valid = true;
-      st.min_v = ex.min;
-      st.max_v = ex.max;
-      st.first_max = start + ex.first_max;
-      st.last_max = start + ex.last_max;
-      st.first_min = start + ex.first_min;
-      st.last_min = start + ex.last_min;
-    }
-  } else {
-    p.min = st.min_v;
-    p.max = st.max_v;
-    p.first_max = static_cast<std::size_t>(st.first_max - start);
-    p.last_max = static_cast<std::size_t>(st.last_max - start);
-    p.first_min = static_cast<std::size_t>(st.first_min - start);
-    p.last_min = static_cast<std::size_t>(st.last_min - start);
+  // Extrema: the runs at the carried order's two ends.  The values are
+  // read from f at first_*, so their bits are the first occurrence's, as in
+  // the batch scan (equal doubles such as -0.0 and 0.0 may differ in bits).
+  {
+    const ExtremeRun lo = extreme_run(sorted_g, rows, s32, counter, false);
+    const ExtremeRun hi = extreme_run(sorted_g, rows, s32, counter, true);
+    p.first_min = lo.first;
+    p.last_min = lo.last;
+    p.first_max = hi.first;
+    p.last_max = hi.last;
+    p.min = f[lo.first];
+    p.max = f[hi.first];
   }
 
   // Mean-relative run statistics: the batch profile's kernel (integer
@@ -570,7 +475,6 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
   // Order statistics read the carried array: it equals std::sort(g) over
   // the window, which is std::sort(f) for gauges and one element swap away
   // from it for counters.
-  const std::span<const double> sorted_g = st.sorted.values();
   if (counter) {
     scratch.sorted.assign(sorted_g.begin(), sorted_g.end());
     const auto rm = std::lower_bound(scratch.sorted.begin(),
@@ -593,7 +497,6 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
   // counts make the derived features bit-exact, so the registry skips its
   // O(support * W) peak rescans and the digit loop.
   RollingStats rs;
-  rs.has_peaks = true;
   const std::size_t s0 = static_cast<std::size_t>(start % W);
   for (std::size_t b = 0; b < kPeakSupportCount; ++b) {
     const std::size_t s = kPeakSupports[b];
@@ -644,7 +547,6 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
       ++counted;
     }
   }
-  rs.has_benford = true;
   rs.benford = benford_correlation_from_counts(digits, counted);
 
   // Approximate entropy's dim-1 template order, filtered out of the carried
@@ -665,8 +567,6 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
     double* ov = scratch.apen_values.data();
     std::uint32_t* oi = scratch.apen_index.data();
     const std::uint32_t* series_index = apen_series_index.data();
-    const std::span<const std::uint32_t> rows = st.sorted.rows();
-    const auto s32 = static_cast<std::uint32_t>(start);
     std::size_t kept = 0;
     for (std::size_t b = 0; b < W; ++b) {
       const std::uint32_t idx =
@@ -700,7 +600,7 @@ Emission IncrementalNodeExtractor::Impl::extract_metric(
   p.trend = linear_trend(f);
 
   compute_features_from_profile(p, out, plan);
-  return path;
+  return false;
 }
 
 IncrementalNodeExtractor::IncrementalNodeExtractor(
@@ -714,7 +614,6 @@ IncrementalNodeExtractor::IncrementalNodeExtractor(
     throw std::invalid_argument(
         "IncrementalNodeExtractor: window must be >= 2 and hop >= 1");
   }
-  if (config.recompute_interval == 0) config.recompute_interval = 1;
   Impl& im = *impl_;
   im.cols = cols;
   im.config = config;
@@ -762,10 +661,8 @@ bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
   const std::uint64_t end = base + rows;
   const bool emit = end >= im.config.window;
 
-  // This emission's per-metric outcomes, tallied as they happen.
+  // This emission's exact fallbacks, tallied as they happen.
   std::atomic<std::uint32_t> fallbacks{0};
-  std::atomic<std::uint32_t> scheduled{0};
-  std::atomic<std::uint32_t> drift{0};
 
   // Any exception below leaves some metrics half-absorbed; poison the
   // extractor so the caller must reset() (and refill) before continuing.
@@ -784,19 +681,8 @@ bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
     for (std::size_t r = 0; r < rows; ++r) {
       im.push_raw(st, m, delta(r, m), base + r);
     }
-    if (!emit) return;
-    switch (im.extract_metric(st, m, plan, metric_out, scratch, end)) {
-      case Emission::kIncremental:
-        break;
-      case Emission::kExactFallback:
-        fallbacks.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case Emission::kScheduledRebuild:
-        scheduled.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case Emission::kDriftRebuild:
-        drift.fetch_add(1, std::memory_order_relaxed);
-        break;
+    if (emit && im.extract_metric(st, m, plan, metric_out, scratch, end)) {
+      fallbacks.fetch_add(1, std::memory_order_relaxed);
     }
   });
   im.pushed = end;
@@ -804,17 +690,11 @@ bool IncrementalNodeExtractor::absorb_and_extract(const tensor::Matrix& delta,
 
   if (emit) {
     const std::uint32_t n_fallbacks = fallbacks.load(std::memory_order_relaxed);
-    const std::uint32_t n_scheduled = scheduled.load(std::memory_order_relaxed);
-    const std::uint32_t n_drift = drift.load(std::memory_order_relaxed);
     ++im.totals.windows;
     im.totals.exact_fallbacks += n_fallbacks;
-    im.totals.scheduled_recomputes += n_scheduled;
-    im.totals.drift_recomputes += n_drift;
     const IncrementalMetrics& metrics = IncrementalMetrics::instance();
     metrics.windows->increment();
     if (n_fallbacks > 0) metrics.exact_fallbacks->increment(n_fallbacks);
-    if (n_scheduled > 0) metrics.scheduled_recomputes->increment(n_scheduled);
-    if (n_drift > 0) metrics.drift_recomputes->increment(n_drift);
   }
   return emit;
 }

@@ -5,34 +5,27 @@
 // emitted window — O(W log W) per metric per hop, dominated by the sort and
 // the FFT.  For overlapping windows (hop H < window W) consecutive windows
 // share W - H rows, so almost all of that work repeats.  An
-// IncrementalNodeExtractor keeps per-metric rolling state that absorbs the
-// H new rows and retires the H expired rows per hop:
-//
-//  * a K-shifted rolling sum used as a *drift sentinel*: the exact
-//    window sum is recomputed each emission anyway (it is cheap and
-//    makes mean-derived features bit-identical to the batch path), so
-//    comparing it against the rolling sum bounds the accumulated float
-//    drift of the carried state and triggers an exact rebuild
-//    when it exceeds tolerance;
-//  * a carried sorted order (SortedWindow): one flat ascending array of
-//    (value, row) per metric.  Rows arriving between emissions are only
-//    queued; at emission one branch-free pass drops the expired rows and
-//    the <= H queued rows are sorted and merged in from the back.  The
-//    array replaces the per-window O(W log W) sort behind the 8
-//    order/quantile features, and approximate entropy reads its dim-1
-//    template order from it (one O(W) filter through a window-position ->
-//    series-index map) instead of sorting its templates;
-//  * expiry-aware extrema: min/max and their first/last locations are
-//    updated per push and re-scanned only when the retiring rows held the
-//    recorded extreme.
+// IncrementalNodeExtractor carries one structure per metric across hops, a
+// sorted order (SortedWindow): one flat ascending array of (value, row).
+// Rows arriving between emissions are only queued; at emission one
+// branch-free pass drops the expired rows and the <= H queued rows are
+// sorted and merged in from the back.  The array replaces the per-window
+// O(W log W) sort behind the 8 order/quantile features; the extrema and
+// their first/last locations are the runs at its two ends; and approximate
+// entropy reads its dim-1 template order from it (one O(W) filter through
+// a window-position -> series-index map) instead of sorting its templates.
+// Beside it the extractor keeps integer peak flags and Benford digit
+// tallies.  Every carried value is an exact copy of a ring value, so
+// nothing can drift; linear aggregates (sum, energy, successive
+// differences) are recomputed exactly per emission.
 //
 // The 9 spectral features call the batch profile's power_spectrum on every
 // emission, so they carry no state.
 //
 // Counter metrics are handled without reprocessing: the stream keeps global
 // first differences r[t] = x[t] - x[t-1], and the batch path's window-local
-// boundary rule (rates[0] = rates[1]) is applied as O(1) corrections to the
-// sum/sorted/integer state at emission time.
+// boundary rule (rates[0] = rates[1]) is applied at emission time as
+// corrections to what is read off the sorted order and the integer tallies.
 //
 // Windows containing non-finite samples taint the incremental state and
 // fall back to the exact batch computation (materialize raw rows ->
@@ -68,21 +61,13 @@ struct IncrementalConfig {
                             // the caller asks)
   bool interpolate = true;     // fallback path: fill non-finite gaps
   bool diff_counters = true;   // treat kCounter columns as counters
-  /// Emissions between exact rebuilds of the rolling state (bounds float
-  /// drift to what can accumulate across this many add/retire cycles).
-  std::size_t recompute_interval = 64;
-  /// Relative tolerance for the drift sentinel (rolling-vs-exact window
-  /// sum); exceeding it triggers an immediate exact rebuild.
-  double drift_tolerance = 1e-9;
 };
 
 /// Counters aggregated across all metrics of one extractor since
 /// construction (reset() keeps them).
 struct IncrementalStats {
-  std::uint64_t windows = 0;              // emissions (per extractor)
-  std::uint64_t exact_fallbacks = 0;      // tainted metric-windows
-  std::uint64_t scheduled_recomputes = 0; // interval-driven rebuilds
-  std::uint64_t drift_recomputes = 0;     // sentinel-triggered rebuilds
+  std::uint64_t windows = 0;          // emissions (per extractor)
+  std::uint64_t exact_fallbacks = 0;  // tainted metric-windows
 };
 
 /// Order-statistics structure for one sliding window, carried across hops:

@@ -141,7 +141,7 @@ GroupBuilder build_groups() {
       names.push_back("number_peaks_support_" + std::to_string(support));
     }
     b.add("peaks", std::move(names), [](const SeriesProfile& p, double* out) {
-      if (p.rolling && p.rolling->has_peaks) {
+      if (p.rolling) {
         for (std::size_t i = 0; i < kPeakSupportCount; ++i) {
           out[i] = p.rolling->peaks[i];
         }
@@ -251,8 +251,7 @@ GroupBuilder build_groups() {
                            std::isfinite(p.max)
                        ? binned_entropy_sorted(p.sorted, 10, p.min, p.max)
                        : binned_entropy(p.xs, 10, p.min, p.max);
-          out[1] = p.rolling && p.rolling->has_benford ? p.rolling->benford
-                                                       : benford_correlation(p.xs);
+          out[1] = p.rolling ? p.rolling->benford : benford_correlation(p.xs);
         });
 
   b.add("linear_trend",

@@ -42,9 +42,7 @@ inline constexpr std::size_t kApEnDim = 2;
 /// and the registry can skip the O(n) rescans and the sort.  Null on the
 /// batch path.
 struct RollingStats {
-  bool has_peaks = false;
   double peaks[kPeakSupportCount] = {};  // number_peaks(xs, support)
-  bool has_benford = false;
   double benford = 0.0;                  // benford_correlation(xs)
   /// Dim-1 template order for approximate_entropy(xs, kApEnDim, ...) over
   /// its subsampled series s: the values s[i] of the first

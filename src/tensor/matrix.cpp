@@ -134,7 +134,13 @@ Matrix& Matrix::operator*=(double scalar) noexcept {
 }
 
 std::string Matrix::shape_string() const {
-  return "(" + std::to_string(rows_) + "x" + std::to_string(cols_) + ")";
+  // Built by appending: gcc 12's -Wrestrict misfires on "(" + std::string.
+  std::string shape = "(";
+  shape += std::to_string(rows_);
+  shape += 'x';
+  shape += std::to_string(cols_);
+  shape += ')';
+  return shape;
 }
 
 }  // namespace prodigy::tensor

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 namespace prodigy::features {
 namespace {
@@ -165,7 +167,10 @@ TEST(SelectFeaturesTest, Chi2PipelineFindsShiftedColumns) {
     }
   }
   for (std::size_t c = 0; c < 10; ++c) {
-    dataset.feature_names.push_back("f" + std::to_string(c));
+    // Appended: gcc 12's -Wrestrict misfires on "f" + std::to_string(c).
+    std::string name = "f";
+    name += std::to_string(c);
+    dataset.feature_names.push_back(std::move(name));
   }
   const SelectionResult result = select_features_chi2(dataset, 4);
   ASSERT_EQ(result.selected.size(), 4u);

@@ -147,7 +147,8 @@ TEST(DenseTest, NumericalGradientCheck) {
     return mse_loss(l.forward_inference(x), target).value;
   };
   // Check a handful of weight gradients numerically.
-  for (const auto [r, c] : {std::pair<std::size_t, std::size_t>{0, 0}, {1, 1}, {2, 0}}) {
+  for (const auto& [r, c] :
+       {std::pair<std::size_t, std::size_t>{0, 0}, {1, 1}, {2, 0}}) {
     Dense probe = layer;
     probe.weights()(r, c) += eps;
     const double up = loss_at(probe);

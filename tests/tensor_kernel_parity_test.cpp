@@ -78,7 +78,7 @@ TEST(KernelParityTest, AllLayoutsMatchNaiveOracleBitExact) {
   prodigy::util::Rng rng(42);
   for (const Layout layout : kLayouts) {
     for (const auto& s : kShapes) {
-      std::size_t ar, ac, br, bc;
+      std::size_t ar = 0, ac = 0, br = 0, bc = 0;
       physical_shapes(layout, s.m, s.n, s.k, ar, ac, br, bc);
       const Matrix a = random_matrix(ar, ac, rng);
       const Matrix b = random_matrix(br, bc, rng);
@@ -104,7 +104,7 @@ TEST(KernelParityTest, AccumulateEpilogueMatchesOracle) {
   prodigy::util::Rng rng(7);
   for (const Layout layout : kLayouts) {
     for (const auto& s : kShapes) {
-      std::size_t ar, ac, br, bc;
+      std::size_t ar = 0, ac = 0, br = 0, bc = 0;
       physical_shapes(layout, s.m, s.n, s.k, ar, ac, br, bc);
       const Matrix a = random_matrix(ar, ac, rng);
       const Matrix b = random_matrix(br, bc, rng);
@@ -213,7 +213,7 @@ TEST(KernelParityTest, TransposeBlockedMatchesNaive) {
 TEST(KernelNaNTest, ZeroTimesNaNPropagatesInEveryLayout) {
   for (const Layout layout : kLayouts) {
     const std::size_t m = 5, n = 9, k = 7;
-    std::size_t ar, ac, br, bc;
+    std::size_t ar = 0, ac = 0, br = 0, bc = 0;
     physical_shapes(layout, m, n, k, ar, ac, br, bc);
     Matrix a(ar, ac, 0.0);  // all-zero A: a zero-skip would erase the NaN
     Matrix b(br, bc, 1.0);

@@ -1,9 +1,11 @@
 # ToolsSmoke: drives the four CLI tools end to end on a small store and fails
 # on any unexpected exit status or any "MISMATCH" line.  The stream replays
 # run --verify-batch (bitwise stream-vs-batch scores) at W=64/H=16
-# (incremental extraction), W=64/H=64 (full recompute) and W=300/H=7
-# (approximate entropy's subsample stride is not an integer there).  Usage
-# errors (a negative count, a value flag without its value) must exit 2.
+# (incremental extraction), W=64/H=64 (full recompute), W=300/H=7
+# (approximate entropy's subsample stride is not an integer there) and
+# W=32/H=48 (full recompute over windows that skip rows between them).
+# Usage errors (a negative count, a value flag without its value) must
+# exit 2.
 #   cmake -DSIMULATE=... -DTRAIN=... -DPREDICT=... -DSTREAM=... -P smoke.cmake
 # It writes store.dsos and model/ into the working directory.
 function(run_tool expected)
@@ -25,7 +27,7 @@ run_tool(0 ${SIMULATE} --out store.dsos --app LAMMPS --jobs 6 --nodes 4
          --duration 150)
 run_tool(0 ${TRAIN} --store store.dsos --out model --epochs 30)
 run_tool(0 ${PREDICT} --store store.dsos --model model --all)
-foreach(shape "64;16" "64;64" "300;7")
+foreach(shape "64;16" "64;64" "300;7" "32;48")
   list(GET shape 0 window)
   list(GET shape 1 hop)
   run_tool(0 ${STREAM} --model model --speed 0 --nodes 4 --duration 420
