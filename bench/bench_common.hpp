@@ -4,7 +4,7 @@
 // and the detector factory used across benches.
 #pragma once
 
-#include "adapt/detector_registry.hpp"
+#include "baselines/detector_registry.hpp"
 #include "baselines/usad.hpp"
 #include "core/prodigy_detector.hpp"
 #include "eval/crossval.hpp"
@@ -112,9 +112,9 @@ inline baselines::UsadConfig usad_config(const ModelOptions& options) {
 }
 
 /// Maps the bench budget knobs onto the registry's options (one place; the
-/// per-detector configuration itself lives in adapt::DetectorRegistry).
-inline adapt::DetectorOptions detector_options(const ModelOptions& options) {
-  adapt::DetectorOptions detector_opts;
+/// per-detector configuration itself lives in baselines::DetectorRegistry).
+inline baselines::DetectorOptions detector_options(const ModelOptions& options) {
+  baselines::DetectorOptions detector_opts;
   detector_opts.epochs = options.epochs;
   detector_opts.batch_size = options.batch_size;
   detector_opts.learning_rate = options.learning_rate;
@@ -129,8 +129,8 @@ inline adapt::DetectorOptions detector_options(const ModelOptions& options) {
 /// ablation).
 inline std::vector<std::pair<std::string, eval::DetectorFactory>> fig5_roster(
     const ModelOptions& options, bool extended = false) {
-  const auto& registry = adapt::DetectorRegistry::global();
-  const adapt::DetectorOptions detector_opts = detector_options(options);
+  const auto& registry = baselines::DetectorRegistry::global();
+  const baselines::DetectorOptions detector_opts = detector_options(options);
   std::vector<std::string> names = {"prodigy", "usad",           "majority",
                                     "random",  "isolation-forest", "lof"};
   if (extended) names.insert(names.end(), {"kmeans", "gmm", "pca"});

@@ -79,7 +79,6 @@ BENCHMARK(BM_Score)->Unit(benchmark::kMillisecond);
 /// The streaming-score hot shape: one 1024-feature row through the fused
 /// VAE inference plan (encoder 1024->64->24, mu head 24->8, decoder
 /// 8->24->64->1024 — the same architecture the stream scorer deploys).
-/// Mode 0 is the layer-by-layer oracle path; mode 1 is the packed plan.
 /// Untrained weights: latency only depends on the shapes.
 struct VaeLatencyFixture {
   VaeLatencyFixture() : vae(make_config()) {
@@ -108,33 +107,23 @@ VaeLatencyFixture& vae_fixture() {
   return instance;
 }
 
-constexpr const char* kModeLabels[] = {"layerwise-fp64", "fused-fp64"};
-
 void BM_VaeScoreSingleRow(benchmark::State& state) {
   auto& f = vae_fixture();
-  const auto mode = state.range(0);
-  state.SetLabel(kModeLabels[mode]);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mode == 0 ? f.vae.reconstruction_error_layerwise(f.row)
-                  : f.vae.reconstruction_error(f.row));
+    benchmark::DoNotOptimize(f.vae.reconstruction_error(f.row));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_VaeScoreSingleRow)->DenseRange(0, 1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VaeScoreSingleRow)->Unit(benchmark::kMicrosecond);
 
 void BM_VaeScoreBatch64(benchmark::State& state) {
   auto& f = vae_fixture();
-  const auto mode = state.range(0);
-  state.SetLabel(kModeLabels[mode]);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        mode == 0 ? f.vae.reconstruction_error_layerwise(f.batch)
-                  : f.vae.reconstruction_error(f.batch));
+    benchmark::DoNotOptimize(f.vae.reconstruction_error(f.batch));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
-BENCHMARK(BM_VaeScoreBatch64)->DenseRange(0, 1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VaeScoreBatch64)->Unit(benchmark::kMicrosecond);
 
 /// Preprocessing one node's raw frame (interpolate + diff + trim).
 void BM_PreprocessNode(benchmark::State& state) {

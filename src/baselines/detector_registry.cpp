@@ -1,4 +1,4 @@
-#include "adapt/detector_registry.hpp"
+#include "baselines/detector_registry.hpp"
 
 #include "baselines/gmm.hpp"
 #include "baselines/heuristics.hpp"
@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <utility>
 
-namespace prodigy::adapt {
+namespace prodigy::baselines {
 
 namespace {
 
@@ -132,4 +132,4 @@ const std::string& DetectorRegistry::display_name(
 
 std::vector<std::string> DetectorRegistry::names() const { return order_; }
 
-}  // namespace prodigy::adapt
+}  // namespace prodigy::baselines

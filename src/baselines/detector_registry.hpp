@@ -1,9 +1,9 @@
 // Anomalib-style detector registry (arXiv:2202.08341): every detector in the
 // zoo — the paper's Prodigy VAE, the Figure-5 baselines, and the extended
 // related-work models — sits behind one string -> factory table over
-// core::Detector.  Tools, benches, and the adaptive path all construct
-// models through here, so a detector's name, display label, and budget
-// knobs have a single source of truth.
+// core::Detector.  Tools and benches construct models through here, so a
+// detector's name, display label, and budget knobs have a single source of
+// truth.
 //
 // Registration is open: call register_detector() to add project-local
 // detectors (tests do).  The built-in roster self-registers on first use of
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-namespace prodigy::adapt {
+namespace prodigy::baselines {
 
 /// Budget knobs shared by every factory.  A detector uses what applies to it
 /// (e.g. the tree/neighbor baselines ignore the epoch counts).
@@ -76,4 +76,4 @@ class DetectorRegistry {
   std::vector<std::string> order_;
 };
 
-}  // namespace prodigy::adapt
+}  // namespace prodigy::baselines

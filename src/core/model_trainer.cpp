@@ -27,6 +27,7 @@ DeploymentMetadata DeploymentMetadata::load(util::BinaryReader& reader) {
   metadata.system = reader.read_string();
   metadata.feature_names = reader.read_string_vector();
   const auto count = reader.read_u64();
+  reader.check_length(count, sizeof(std::uint64_t));
   metadata.selected_columns.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     metadata.selected_columns.push_back(reader.read_u64());

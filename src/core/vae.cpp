@@ -234,38 +234,27 @@ tensor::Matrix VariationalAutoencoder::encode_mean(const tensor::Matrix& X) cons
   return mu_head_.forward_inference(s.h);
 }
 
-tensor::Matrix VariationalAutoencoder::reconstruct(const tensor::Matrix& X) const {
-  if (plan_) {
-    tensor::Matrix out;
-    plan_->run(X, out);
-    return out;
+const nn::InferencePlan& VariationalAutoencoder::fused_plan() const {
+  if (!plan_) {
+    throw std::logic_error("VariationalAutoencoder: score before fit");
   }
-  InferScratch& s = infer_scratch;
-  encoder_.forward_inference_into(X, s.h);
-  mu_head_.forward_inference_into(s.h, s.mu);
-  return decoder_.forward_inference(s.mu);
+  return *plan_;
+}
+
+tensor::Matrix VariationalAutoencoder::reconstruct(const tensor::Matrix& X) const {
+  tensor::Matrix out;
+  fused_plan().run(X, out);
+  return out;
 }
 
 std::vector<double> VariationalAutoencoder::reconstruction_error(
     const tensor::Matrix& X) const {
   // The anomaly-score hot path: one fused sweep through the packed
   // encoder→mu→decoder plan into per-thread scratch — zero matrix
-  // allocations once a thread has warmed up, and at Full precision
-  // bit-identical to the layerwise oracle below.
-  if (plan_) {
-    InferScratch& s = infer_scratch;
-    plan_->run(X, s.recon);
-    return tensor::rowwise_mean_abs_error(X, s.recon);
-  }
-  return reconstruction_error_layerwise(X);
-}
-
-std::vector<double> VariationalAutoencoder::reconstruction_error_layerwise(
-    const tensor::Matrix& X) const {
+  // allocations once a thread has warmed up, and bit-identical to the
+  // layer-by-layer forward pass.
   InferScratch& s = infer_scratch;
-  encoder_.forward_inference_into(X, s.h);
-  mu_head_.forward_inference_into(s.h, s.mu);
-  decoder_.forward_inference_into(s.mu, s.recon);
+  fused_plan().run(X, s.recon);
   return tensor::rowwise_mean_abs_error(X, s.recon);
 }
 

@@ -44,16 +44,15 @@ class VariationalAutoencoder {
   tensor::Matrix encode_mean(const tensor::Matrix& X) const;
 
   /// Deterministic reconstruction through the posterior mean (z = mu).
+  /// Throws std::logic_error on a default-constructed VAE (no plan yet).
   tensor::Matrix reconstruct(const tensor::Matrix& X) const;
 
   /// Per-sample mean absolute reconstruction error (the paper's anomaly
   /// score, §3.3-3.4).  Runs through the fused encoder→mu→decoder
-  /// InferencePlan, bit-identical to reconstruction_error_layerwise().
+  /// InferencePlan, bit-identical to the layer-by-layer forward pass
+  /// (parity-tested with EXPECT_EQ).  Throws std::logic_error on a
+  /// default-constructed VAE.
   std::vector<double> reconstruction_error(const tensor::Matrix& X) const;
-
-  /// The original layer-by-layer scoring path, kept as the bit-exactness
-  /// oracle for the fused plan (parity-tested with EXPECT_EQ).
-  std::vector<double> reconstruction_error_layerwise(const tensor::Matrix& X) const;
 
   /// The active fused plan (never null after construction/fit/load).
   std::shared_ptr<const nn::InferencePlan> inference_plan() const noexcept {
@@ -85,6 +84,8 @@ class VariationalAutoencoder {
   StepResult forward_backward(const tensor::Matrix& x, util::Rng& rng);
   /// Repacks the fused plan from the current parameters.
   void build_inference_plan();
+  /// The fused plan; throws std::logic_error before one is built.
+  const nn::InferencePlan& fused_plan() const;
 
   VaeConfig config_;
   nn::Mlp encoder_;        // input -> last hidden

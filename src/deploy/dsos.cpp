@@ -3,6 +3,7 @@
 #include "util/metrics.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace prodigy::deploy {
 
@@ -29,11 +30,15 @@ telemetry::NodeSeries read_node(util::BinaryReader& reader) {
   node.label = static_cast<int>(reader.read_i64());
   const auto rows = reader.read_u64();
   const auto cols = reader.read_u64();
-  node.values = tensor::Matrix(rows, cols);
-  node.values.storage() = reader.read_f64_vector();
-  if (node.values.storage().size() != rows * cols) {
-    throw std::runtime_error("DsosStore: corrupt node record");
-  }
+  // As in Dense::load: read the values first, check size == rows * cols
+  // without overflow, then adopt them.
+  std::vector<double> values = reader.read_f64_vector();
+  const bool shape_ok = cols == 0 ? values.empty()
+                                  : values.size() % cols == 0 &&
+                                        values.size() / cols == rows;
+  if (!shape_ok) throw std::runtime_error("DsosStore: corrupt node record");
+  node.values.storage() = std::move(values);
+  node.values.resize_for_overwrite(rows, cols);
   return node;
 }
 

@@ -10,22 +10,13 @@
 
 namespace prodigy::deploy {
 
-namespace {
-// Process-unique bundle stamps so result-cache keys from different services
-// (e.g. after a retrain) can never collide.
-std::uint64_t next_bundle_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-}  // namespace
-
 AnalyticsService::AnalyticsService(const DsosStore& store, core::ModelBundle bundle,
                                    pipeline::PreprocessOptions preprocess,
                                    bool explain, comte::ComteConfig explanations,
                                    std::size_t cache_capacity)
-    : store_(store), bundle_mutex_(std::make_unique<std::mutex>()),
-      state_(std::make_shared<const BundleState>(
-          BundleState{std::move(bundle), next_bundle_id(), explain})),
+    : store_(store),
+      bundle_(std::move(bundle)),
+      explain_(explain),
       preprocess_(preprocess),
       cache_(std::make_unique<AnalysisCache>(
           cache_capacity,
@@ -36,35 +27,16 @@ AnalyticsService::AnalyticsService(const DsosStore& store, core::ModelBundle bun
               "prodigy_deploy_cache_evictions_total"))),
       explanations_(explanations) {}
 
-std::shared_ptr<const AnalyticsService::BundleState>
-AnalyticsService::bundle_state() const {
-  std::lock_guard lock(*bundle_mutex_);
-  return state_;
-}
-
-std::uint64_t AnalyticsService::bundle_id() const { return bundle_state()->id; }
-
-void AnalyticsService::set_bundle(core::ModelBundle next) {
-  // The explainer context was built in the OLD bundle's model-input space;
-  // reusing it against the new model would explain with mismatched
-  // dimensions.  Queries fall back to score-only verdicts after a swap.
-  auto state = std::make_shared<const BundleState>(
-      BundleState{std::move(next), next_bundle_id(), /*explain=*/false});
-  std::lock_guard lock(*bundle_mutex_);
-  state_ = std::move(state);
-}
-
 void AnalyticsService::build_explainer_context(
     const features::FeatureDataset& train_data) {
-  const auto state = bundle_state();
-  explain_train_ = state->bundle.transform_full(train_data.X);
+  explain_train_ = bundle_.transform_full(train_data.X);
   explain_labels_ = train_data.labels;
   std::vector<std::size_t> healthy;
   for (std::size_t i = 0; i < explain_labels_.size(); ++i) {
     if (explain_labels_[i] == 0) healthy.push_back(i);
   }
   const auto healthy_scores =
-      state->bundle.detector.score(explain_train_.select_rows(healthy));
+      bundle_.detector.score(explain_train_.select_rows(healthy));
   probability_scale_ = comte::ThresholdModelAdapter::estimate_scale(healthy_scores);
 }
 
@@ -72,17 +44,10 @@ JobAnalysis AnalyticsService::analyze_job(std::int64_t job_id) const {
   util::Timer timer;
   util::MetricsRegistry::global().counter("prodigy_deploy_requests_total").increment();
 
-  // Load the served model exactly once for the whole request: scoring,
-  // thresholds, explanations, and the cache key below all come from this
-  // state even if set_bundle() swaps concurrently (the shared_ptr keeps the
-  // old bundle alive until the request finishes).
-  const std::shared_ptr<const BundleState> state = bundle_state();
-
-  // Fast path: a finished analysis for this exact (job, generation, bundle)
-  // triple.  The generation probe takes only a shared DSOS lock; if a writer
+  // Fast path: a finished analysis for this exact (job, generation) pair.
+  // The generation probe takes only a shared DSOS lock; if a writer
   // re-ingests between the probe and the lookup we merely miss and recompute.
-  if (auto cached =
-          cache_->get({job_id, store_.job_generation(job_id), state->id})) {
+  if (auto cached = cache_->get({job_id, store_.job_generation(job_id)})) {
     JobAnalysis analysis = **cached;
     analysis.from_cache = true;
     analysis.seconds = timer.elapsed_seconds();
@@ -97,18 +62,16 @@ JobAnalysis AnalyticsService::analyze_job(std::int64_t job_id) const {
   telemetry::JobTelemetry job = store_.query_job(job_id, &generation);
   query_timer.stop();
 
-  JobAnalysis analysis = analyze_telemetry(std::move(job), *state);
+  JobAnalysis analysis = analyze_telemetry(std::move(job));
   analysis.store_generation = generation;
   analysis.stages.insert(analysis.stages.begin(), StageLatency{"query", query_s});
   analysis.seconds = timer.elapsed_seconds();
-  cache_->put({job_id, generation, state->id},
+  cache_->put({job_id, generation},
               std::make_shared<const JobAnalysis>(analysis));
   return analysis;
 }
 
-JobAnalysis AnalyticsService::analyze_telemetry(telemetry::JobTelemetry job,
-                                                const BundleState& state) const {
-  const core::ModelBundle& bundle = state.bundle;
+JobAnalysis AnalyticsService::analyze_telemetry(telemetry::JobTelemetry job) const {
   JobAnalysis analysis;
   analysis.job_id = job.job_id;
   analysis.app = job.app;
@@ -130,9 +93,9 @@ JobAnalysis AnalyticsService::analyze_telemetry(telemetry::JobTelemetry job,
   // AnomalyDetector: column selection + scaler + model (batched, serial
   // w.r.t. nodes so scores match the single-threaded reference exactly).
   util::StageTimer score_timer("deploy.request.score", &score_s);
-  const tensor::Matrix model_input = bundle.transform_full(dataset.X);
-  const auto scores = bundle.detector.score(model_input);
-  const double threshold = bundle.detector.threshold();
+  const tensor::Matrix model_input = bundle_.transform_full(dataset.X);
+  const auto scores = bundle_.detector.score(model_input);
+  const double threshold = bundle_.detector.threshold();
   score_timer.stop();
 
   // Verdict assembly, including CoMTE explanations for anomalous nodes.
@@ -142,10 +105,10 @@ JobAnalysis AnalyticsService::analyze_telemetry(telemetry::JobTelemetry job,
   util::StageTimer verdicts_timer("deploy.request.verdicts", &verdicts_s);
   std::optional<comte::ThresholdModelAdapter> adapter;
   std::optional<comte::ComteExplainer> explainer;
-  if (state.explain && explain_train_.rows() > 0) {
-    adapter.emplace(bundle.detector, threshold, probability_scale_);
+  if (explain_ && explain_train_.rows() > 0) {
+    adapter.emplace(bundle_.detector, threshold, probability_scale_);
     explainer.emplace(*adapter, explain_train_, explain_labels_,
-                      bundle.metadata.feature_names, explanations_);
+                      bundle_.metadata.feature_names, explanations_);
   }
 
   const std::size_t node_count = dataset.size();
@@ -187,7 +150,6 @@ JobAnalysis AnalyticsService::analyze_telemetry(telemetry::JobTelemetry job,
 NodeVerdict AnalyticsService::analyze_node(std::int64_t job_id,
                                            std::int64_t component_id) const {
   util::MetricsRegistry::global().counter("prodigy_deploy_requests_total").increment();
-  const std::shared_ptr<const BundleState> state = bundle_state();
 
   // Read and score this node alone.  Every stage of the analysis body is
   // per-row, so the verdict is bit-identical to the node's entry in
@@ -196,7 +158,7 @@ NodeVerdict AnalyticsService::analyze_node(std::int64_t job_id,
   telemetry::JobTelemetry job;
   job.job_id = job_id;
   job.nodes.push_back(store_.query_node(job_id, component_id));
-  return std::move(analyze_telemetry(std::move(job), *state).nodes.front());
+  return std::move(analyze_telemetry(std::move(job)).nodes.front());
 }
 
 std::string render_markdown_report(const JobAnalysis& analysis) {

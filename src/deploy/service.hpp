@@ -13,9 +13,8 @@
 #include "util/thread_pool.hpp"
 
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <tuple>
+#include <utility>
 
 namespace prodigy::deploy {
 
@@ -79,8 +78,8 @@ class AnalyticsService {
   /// many client threads may call analyze_job concurrently.  Results are
   /// bit-identical for any pool size.  Repeated requests for a job whose
   /// DSOS generation has not changed are served from a bounded LRU cache
-  /// keyed by (job id, store generation, bundle id); any re-ingest bumps the
-  /// generation and therefore invalidates the cached entry.
+  /// keyed by (job id, store generation); any re-ingest bumps the generation
+  /// and therefore invalidates the cached entry.
   JobAnalysis analyze_job(std::int64_t job_id) const;
 
   /// Overrides the worker pool used for per-node fan-out (nullptr restores
@@ -93,19 +92,6 @@ class AnalyticsService {
   void set_cache_capacity(std::size_t capacity) { cache_->set_capacity(capacity); }
   std::size_t cached_analyses() const { return cache_->size(); }
 
-  /// Process-unique stamp of the model bundle this service serves; part of
-  /// the result-cache key so verdicts from different bundles never mix.
-  std::uint64_t bundle_id() const;
-
-  /// Hot-swaps the served model (the online-adaptation path: a refit
-  /// promoted by adapt::AdaptiveModelManager must also serve queries).
-  /// Thread-safe against concurrent analyze_job calls: each request reads
-  /// the (bundle, id) pair exactly once, and the fresh process-unique id
-  /// guarantees no cache entry computed by any earlier bundle is ever
-  /// served afterwards.  The explainer context keeps the training-time
-  /// bundle's feature space, so swapping disables explanations.
-  void set_bundle(core::ModelBundle next);
-
   /// Node-level analysis (paper: "job- and node-level analysis"): the
   /// verdict for one compute node of a job, bit-identical to that node's
   /// entry in analyze_job (explanation included).  Only this node is read
@@ -113,10 +99,8 @@ class AnalyticsService {
   /// std::out_of_range if the component is not part of the job.
   NodeVerdict analyze_node(std::int64_t job_id, std::int64_t component_id) const;
 
-  /// The currently served bundle.  The reference stays valid while the
-  /// returned state is the active one; callers that may race set_bundle()
-  /// should prefer bundle_state().
-  const core::ModelBundle& bundle() const { return bundle_state()->bundle; }
+  /// The served bundle, fixed for the service's lifetime.
+  const core::ModelBundle& bundle() const { return bundle_; }
 
   /// Offline training flow (Fig. 3): builds the feature dataset from the
   /// given stored jobs, selects efficient features (chi-square when both
@@ -128,40 +112,23 @@ class AnalyticsService {
                                            bool explain = true);
 
  private:
-  // (job id, DSOS generation, bundle id) -> finished analysis.  Immutable
-  // shared_ptr payloads keep hits copy-cheap and safe to hand out while other
-  // threads insert or evict.
-  using CacheKey = std::tuple<std::int64_t, std::uint64_t, std::uint64_t>;
+  // (job id, DSOS generation) -> finished analysis.  Immutable shared_ptr
+  // payloads keep hits copy-cheap and safe to hand out while other threads
+  // insert or evict.
+  using CacheKey = std::pair<std::int64_t, std::uint64_t>;
   using AnalysisCache =
       util::LruCache<CacheKey, std::shared_ptr<const JobAnalysis>>;
-
-  // The served model and its cache stamp travel together as one immutable
-  // state: analyze_job loads the pointer once per request, so a concurrent
-  // set_bundle can never pair a new bundle with an old id (or serve a torn
-  // half-swapped model).  Old states stay alive until their last in-flight
-  // request drops them.
-  struct BundleState {
-    core::ModelBundle bundle;
-    std::uint64_t id = 0;
-    // The explainer context lives in the training-time bundle's feature
-    // space, so set_bundle turns explanations off.
-    bool explain = false;
-  };
 
   // The one analysis body behind analyze_job and analyze_node: features,
   // score and verdicts (stages "features", "score", "verdicts") for every
   // node of the loaded `job`, in node order.  Every stage is per-row, so a
   // node's verdict does not depend on which other nodes share the call.
-  JobAnalysis analyze_telemetry(telemetry::JobTelemetry job,
-                                const BundleState& state) const;
+  JobAnalysis analyze_telemetry(telemetry::JobTelemetry job) const;
   void build_explainer_context(const features::FeatureDataset& train_data);
-  std::shared_ptr<const BundleState> bundle_state() const;
 
   const DsosStore& store_;
-  // unique_ptr members keep the service movable (mutexes are not), which
-  // train_from_store returning by value requires.
-  mutable std::unique_ptr<std::mutex> bundle_mutex_;
-  std::shared_ptr<const BundleState> state_;
+  core::ModelBundle bundle_;
+  bool explain_ = false;
   pipeline::PreprocessOptions preprocess_;
   util::ThreadPool* pool_ = nullptr;  // nullptr -> util::ThreadPool::global()
   // unique_ptr (not a direct member) so the service stays movable: the cache

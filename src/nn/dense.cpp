@@ -7,6 +7,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace prodigy::nn {
 
@@ -121,11 +122,16 @@ Dense Dense::load(util::BinaryReader& reader) {
                              "); stream is corrupt");
   }
   layer.act_ = activation_from_string(reader.read_string());
-  layer.weights_ = tensor::Matrix(layer.in_, layer.out_);
-  layer.weights_.storage() = reader.read_f64_vector();
-  if (layer.weights_.storage().size() != layer.in_ * layer.out_) {
+  // Nothing is shaped by the untrusted in/out until the weights they
+  // describe have been read: check size == in * out without overflow, then
+  // adopt the vector (resize_for_overwrite only sets the shape).
+  std::vector<double> weights = reader.read_f64_vector();
+  if (weights.size() % layer.in_ != 0 ||
+      weights.size() / layer.in_ != layer.out_) {
     throw std::runtime_error("Dense::load: weight size mismatch");
   }
+  layer.weights_.storage() = std::move(weights);
+  layer.weights_.resize_for_overwrite(layer.in_, layer.out_);
   layer.bias_ = reader.read_f64_vector();
   if (layer.bias_.size() != layer.out_) {
     throw std::runtime_error("Dense::load: bias size mismatch");

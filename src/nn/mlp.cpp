@@ -131,6 +131,8 @@ Mlp Mlp::load(util::BinaryReader& reader) {
     throw std::runtime_error("Mlp::load: input_dim is 0; stream is corrupt");
   }
   const auto count = reader.read_u64();
+  // A Dense layer encodes at least 40 bytes: in, out and three prefixes.
+  reader.check_length(count, 40);
   mlp.layers_.reserve(count);
   // Cross-validate the layer chain as it streams in: a corrupted file must
   // fail here with a dimension message, not later as a confusing GEMM

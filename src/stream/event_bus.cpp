@@ -14,7 +14,6 @@ struct BusMetrics {
   util::Counter* verdicts;
   util::Counter* transitions;
   util::Counter* suppressed;
-  util::Counter* drift_events;
 
   static BusMetrics& instance() {
     static BusMetrics metrics = [] {
@@ -24,7 +23,6 @@ struct BusMetrics {
       m.transitions = &registry.counter("prodigy_stream_transitions_total");
       m.suppressed =
           &registry.counter("prodigy_stream_debounce_suppressed_total");
-      m.drift_events = &registry.counter("prodigy_stream_drift_events_total");
       return m;
     }();
     return metrics;
@@ -53,18 +51,10 @@ std::uint64_t EventBus::subscribe_transitions(TransitionSink sink) {
   return id;
 }
 
-std::uint64_t EventBus::subscribe_drift(DriftSink sink) {
-  std::lock_guard lock(mutex_);
-  const auto id = next_id_++;
-  drift_sinks_[id] = std::make_shared<const DriftSink>(std::move(sink));
-  return id;
-}
-
 void EventBus::unsubscribe(std::uint64_t id) {
   std::lock_guard lock(mutex_);
   verdict_sinks_.erase(id);
   transition_sinks_.erase(id);
-  drift_sinks_.erase(id);
 }
 
 void EventBus::publish(const VerdictEvent& event) {
@@ -76,14 +66,6 @@ void EventBus::publish(const VerdictEvent& event) {
     std::lock_guard lock(mutex_);
     ++verdicts_;
     NodeState& node = nodes_[{event.job_id, event.component_id}];
-    if (event.model_generation != node.model_generation) {
-      // Model hot-swap: a pre-swap near-flip says nothing about the new
-      // model's view of this node, so the candidate streak restarts.  The
-      // settled state is kept — swapping models is not a health change.
-      node.candidate.reset();
-      node.candidate_count = 0;
-      node.model_generation = event.model_generation;
-    }
     const bool s = event.anomalous;
     if (node.state.has_value() && s == *node.state) {
       // Verdict agrees with the settled state; any pending flip is broken.
@@ -109,7 +91,6 @@ void EventBus::publish(const VerdictEvent& event) {
         transition.score = event.score;
         transition.threshold = event.threshold;
         transition.consecutive = node.candidate_count;
-        transition.model_generation = event.model_generation;
         node.state = s;
         node.candidate.reset();
         node.candidate_count = 0;
@@ -139,18 +120,6 @@ void EventBus::publish(const VerdictEvent& event) {
   }
 }
 
-void EventBus::publish(const DriftEvent& event) {
-  std::vector<std::shared_ptr<const DriftSink>> sinks;
-  {
-    std::lock_guard lock(mutex_);
-    ++drift_events_;
-    sinks.reserve(drift_sinks_.size());
-    for (const auto& [id, sink] : drift_sinks_) sinks.push_back(sink);
-  }
-  BusMetrics::instance().drift_events->increment();
-  for (const auto& sink : sinks) (*sink)(event);
-}
-
 std::optional<bool> EventBus::node_state(std::int64_t job_id,
                                          std::int64_t component_id) const {
   std::lock_guard lock(mutex_);
@@ -166,11 +135,6 @@ std::uint64_t EventBus::verdicts_published() const {
 std::uint64_t EventBus::transitions_published() const {
   std::lock_guard lock(mutex_);
   return transitions_;
-}
-
-std::uint64_t EventBus::drift_events_published() const {
-  std::lock_guard lock(mutex_);
-  return drift_events_;
 }
 
 std::uint64_t EventBus::suppressed() const {

@@ -25,6 +25,7 @@ OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
     : bundle_(std::move(bundle)),
       bus_(bus),
       config_(config),
+      plan_(bundle_.metadata.selected_columns),
       scored_(&util::MetricsRegistry::global().counter(
           "prodigy_stream_windows_scored_total")),
       latency_(&util::MetricsRegistry::global().histogram(
@@ -52,9 +53,6 @@ OnlineScorer::OnlineScorer(core::ModelBundle bundle, EventBus& bus,
                         config_.preprocess.trim_seconds == 0.0
                     ? ExtractionMode::kIncremental
                     : ExtractionMode::kFullRecompute;
-  if (config_.model_provider == nullptr) {
-    plan_ = features::FeaturePlan(bundle_.metadata.selected_columns);
-  }
 
   if (!config_.metrics_scope.empty()) {
     auto& registry = util::MetricsRegistry::global();
@@ -188,19 +186,7 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
       X.resize_for_overwrite(1, features.size());
       X.set_row(0, features);
     }
-    // One lease covers the whole window: scoring, threshold, and the verdict
-    // all come from the same (bundle, generation) pair even if the provider
-    // hot-swaps concurrently.  Without a provider the owned frozen bundle is
-    // used and verdicts carry generation 0 — exactly the pre-adaptation
-    // behavior.
-    ModelProvider::Lease lease;
-    const core::ModelBundle* bundle = &bundle_;
-    if (config_.model_provider != nullptr) {
-      lease = config_.model_provider->acquire();
-      bundle = lease.bundle.get();
-    }
-    const tensor::Matrix model_input = bundle->transform_full(X);
-    const auto scores = bundle->detector.score(model_input);
+    const auto scores = bundle_.detector.score(bundle_.transform_full(X));
 
     VerdictEvent event;
     event.job_id = node.job_id;
@@ -210,9 +196,8 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
     event.window_start_ts = window.span.start_ts;
     event.window_end_ts = window.span.end_ts;
     event.score = scores.at(0);
-    event.threshold = bundle->detector.threshold();
+    event.threshold = bundle_.detector.threshold();
     event.anomalous = event.score > event.threshold;
-    event.model_generation = lease.generation;
 
     windows_scored_.fetch_add(1, std::memory_order_relaxed);
     scored_->increment();
@@ -223,11 +208,6 @@ void OnlineScorer::score_window(NodeState& node, PendingWindow& window) {
       scoped_latency_->observe(seconds);
     }
     bus_.publish(event);
-    if (config_.model_provider != nullptr) {
-      // Feedback after publish: the verdict is already on the wire, so even
-      // a synchronous swap triggered here only affects the NEXT window.
-      config_.model_provider->on_verdict(event, model_input.row(0));
-    }
   } catch (const std::exception& e) {
     // A daemon must survive one malformed window (e.g. a frame width that
     // does not match the bundle's feature space); count it and move on.

@@ -16,7 +16,6 @@
 #include "pipeline/preprocess.hpp"
 #include "stream/event_bus.hpp"
 #include "stream/ingestor.hpp"
-#include "stream/model_provider.hpp"
 #include "stream/window.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -60,14 +59,6 @@ struct OnlineScorerConfig {
   /// so a sharded deployment exposes per-shard p50/p99 next to the fleet
   /// totals.
   std::string metrics_scope;
-  /// Online adaptation hook.  When set, every window is scored through a
-  /// lease acquired from the provider for exactly that window (the swap is
-  /// atomic per window — no torn model), verdicts carry the lease's
-  /// generation, and each published verdict is fed back via on_verdict().
-  /// Must outlive the scorer.  Null (the default) keeps the scorer's owned
-  /// frozen bundle and generation 0 — behavior bit-identical to a build
-  /// without adaptation.
-  ModelProvider* model_provider = nullptr;
 };
 
 class OnlineScorer : public RowSink {
@@ -140,9 +131,8 @@ class OnlineScorer : public RowSink {
   EventBus& bus_;
   OnlineScorerConfig config_;
   ExtractionMode extraction_ = ExtractionMode::kFullRecompute;
-  // The features the owned bundle reads (its selected columns); every
-  // window extracts only those.  Reads everything under a model_provider,
-  // which may lease a bundle with another selection.
+  // The features the bundle reads (its selected columns); every window
+  // extracts only those.
   features::FeaturePlan plan_;
   // Registry-owned instrumentation, resolved once so the hot path bumps
   // atomics instead of looking names up.  The scoped per-shard pair is

@@ -24,6 +24,8 @@ SampleBatch SampleBatch::read_frame(util::BinaryReader& reader) {
   SampleBatch batch;
   batch.sequence = reader.read_u64();
   const auto count = reader.read_u64();
+  // A row encodes at least 40 bytes: three i64s and two length prefixes.
+  reader.check_length(count, 40);
   batch.rows.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     SampleRow row;

@@ -5,6 +5,7 @@
 #include "util/timer.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -104,20 +105,10 @@ struct ShardedAnalyticsService::Shard {
   deploy::DsosStore store;
   std::unique_ptr<util::ThreadPool> pool;  // null -> global pool
   std::unique_ptr<deploy::AnalyticsService> service;
-  // Declared before the scorer on purpose: the scorer holds a raw pointer
-  // to the provider and feeds it from scoring tasks, so the provider must be
-  // destroyed after the scorer has drained (reverse declaration order).
-  std::unique_ptr<ModelProvider> provider;
   std::unique_ptr<OnlineScorer> scorer;
   std::unique_ptr<ShardSink> sink;
   std::unique_ptr<StreamIngestor> ingestor;
   std::atomic<bool> alive{true};
-
-  // Generation the query service's bundle was last synced to (see
-  // analyze_job); guarded so concurrent queries race neither the check nor
-  // the swap.
-  std::mutex service_refresh_mutex;
-  std::uint64_t service_generation = 0;
 
   // Registry-owned per-shard instrumentation, resolved once.
   util::Gauge* queue_depth_gauge = nullptr;
@@ -147,15 +138,9 @@ ShardedAnalyticsService::ShardedAnalyticsService(core::ModelBundle bundle,
         comte::ComteConfig{}, config_.cache_capacity);
     if (shard->pool) shard->service->set_thread_pool(shard->pool.get());
 
-    if (config_.adaptation) {
-      shard->provider = config_.adaptation(k, bundle, bus_);
-      shard->service_generation = shard->provider->acquire().generation;
-    }
-
     OnlineScorerConfig scorer_config = config_.scorer;
     scorer_config.pool = shard->pool.get();  // null -> global
     scorer_config.metrics_scope = "shard" + std::to_string(k);
-    scorer_config.model_provider = shard->provider.get();  // null = frozen
     shard->scorer = std::make_unique<OnlineScorer>(bundle, bus_, scorer_config);
     shard->sink =
         std::make_unique<ShardSink>(k, faults_, shard->scorer.get());
@@ -245,6 +230,7 @@ std::optional<deploy::JobAnalysis> ShardedAnalyticsService::analyze_job(
   util::Timer timer;
   deploy::JobAnalysis merged;
   merged.job_id = job_id;
+  std::vector<deploy::NodeVerdict> gathered;
   bool found = false;
   bool all_cached = true;
   try {
@@ -253,28 +239,15 @@ std::optional<deploy::JobAnalysis> ShardedAnalyticsService::analyze_job(
     // so the merged analysis is bit-identical to the unsharded one.
     for (const auto& shard : shards_) {
       if (!shard->store.has_job(job_id)) continue;
-      if (shard->provider) {
-        // Queries must see the same model the stream scores with: when the
-        // provider's generation has advanced past the query service's
-        // bundle, hot-swap it in before analyzing.  set_bundle stamps a
-        // fresh bundle id, so cached analyses from older generations can
-        // never be served (the PR 2 cache-key contract, extended to swaps).
-        const ModelProvider::Lease lease = shard->provider->acquire();
-        std::lock_guard lock(shard->service_refresh_mutex);
-        if (lease.generation != shard->service_generation) {
-          shard->service->set_bundle(*lease.bundle);
-          shard->service_generation = lease.generation;
-        }
-      }
       deploy::JobAnalysis part = shard->service->analyze_job(job_id);
       found = true;
       merged.app = part.app;
       merged.store_generation =
           std::max(merged.store_generation, part.store_generation);
       all_cached = all_cached && part.from_cache;
-      merged.nodes.insert(merged.nodes.end(),
-                          std::make_move_iterator(part.nodes.begin()),
-                          std::make_move_iterator(part.nodes.end()));
+      gathered.insert(gathered.end(),
+                      std::make_move_iterator(part.nodes.begin()),
+                      std::make_move_iterator(part.nodes.end()));
     }
   } catch (...) {
     if (config_.max_concurrent_queries > 0) {
@@ -297,10 +270,18 @@ std::optional<deploy::JobAnalysis> ShardedAnalyticsService::analyze_job(
     throw std::out_of_range("ShardedAnalyticsService: unknown job " +
                             std::to_string(job_id));
   }
-  std::sort(merged.nodes.begin(), merged.nodes.end(),
-            [](const deploy::NodeVerdict& a, const deploy::NodeVerdict& b) {
-              return a.component_id < b.component_id;
-            });
+  // Sort a permutation, not the verdicts: swapping NodeVerdicts (their
+  // optional<Explanation>) inside std::sort draws false-positive
+  // -Wmaybe-uninitialized warnings from gcc 12 under -fsanitize=thread.
+  std::vector<std::size_t> order(gathered.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return gathered[a].component_id < gathered[b].component_id;
+  });
+  merged.nodes.reserve(order.size());
+  for (const std::size_t i : order) {
+    merged.nodes.push_back(std::move(gathered[i]));
+  }
   merged.from_cache = all_cached;
   merged.seconds = timer.elapsed_seconds();
   util::MetricsRegistry::global()
@@ -390,31 +371,6 @@ std::uint64_t ShardedAnalyticsService::score_errors() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->scorer->score_errors();
   return total;
-}
-
-ShardedAnalyticsService::FleetAdaptationStats
-ShardedAnalyticsService::adaptation_stats() const {
-  FleetAdaptationStats stats;
-  stats.per_shard.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    AdaptationStats s;
-    if (shard->provider) s = shard->provider->adaptation_stats();
-    stats.totals.generation = std::max(stats.totals.generation, s.generation);
-    stats.totals.drifts_detected += s.drifts_detected;
-    stats.totals.refits_started += s.refits_started;
-    stats.totals.swaps_completed += s.swaps_completed;
-    stats.totals.swaps_refused += s.swaps_refused;
-    stats.totals.reservoir_samples += s.reservoir_samples;
-    stats.totals.reservoir_offered += s.reservoir_offered;
-    stats.per_shard.push_back(s);
-  }
-  return stats;
-}
-
-std::uint64_t ShardedAnalyticsService::shard_model_generation(
-    std::size_t shard) const {
-  const auto& s = shards_.at(shard);
-  return s->provider ? s->provider->acquire().generation : 0;
 }
 
 }  // namespace prodigy::stream

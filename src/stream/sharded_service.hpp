@@ -28,7 +28,6 @@
 #include "deploy/shard_router.hpp"
 #include "stream/event_bus.hpp"
 #include "stream/ingestor.hpp"
-#include "stream/model_provider.hpp"
 #include "stream/online_scorer.hpp"
 #include "util/thread_pool.hpp"
 
@@ -114,13 +113,6 @@ struct ShardedServiceConfig {
   std::size_t cache_capacity = 128;
   /// Batch-path preprocessing for the per-shard AnalyticsService queries.
   pipeline::PreprocessOptions preprocess;
-  /// Online adaptation: when set, every shard gets its own ModelProvider
-  /// built by this factory (shard index, the shard's initial bundle, the
-  /// shared event bus) and scores through its leases; the shard's query
-  /// service follows the provider's generation (see analyze_job).  Unset =
-  /// frozen per-shard bundles, bit-identical to pre-adaptation behavior.
-  /// `scorer.model_provider` is ignored — per-shard providers replace it.
-  ModelProviderFactory adaptation;
 };
 
 /// Fleet-wide sample/query accounting.  `per_shard[k]` is shard k's own
@@ -198,17 +190,6 @@ class ShardedAnalyticsService {
   ShardedStats stats() const;
   std::uint64_t windows_scored() const;
   std::uint64_t score_errors() const;
-
-  /// Fleet drift rollup: per-shard adaptation counters plus their sum
-  /// (totals.generation is the max generation across shards).  All zeros
-  /// when adaptation is off.
-  struct FleetAdaptationStats {
-    AdaptationStats totals;
-    std::vector<AdaptationStats> per_shard;
-  };
-  FleetAdaptationStats adaptation_stats() const;
-  /// Active model generation of one shard (0 = adaptation off).
-  std::uint64_t shard_model_generation(std::size_t shard) const;
 
  private:
   /// RowSink wrapper threading the fault hook in front of the scorer.

@@ -54,8 +54,8 @@ struct RunConfig {
   /// linearly toward a shifted operating point, reaching this relative
   /// magnitude at the end of the run (0.3 = ~30% shift on the drifting
   /// dimensions).  Models workload-mix / firmware / aging change — the NEW
-  /// NORMAL, so drifted samples stay labeled healthy; a frozen detector's
-  /// false alarms on them are exactly what online adaptation must fix.
+  /// NORMAL, so drifted samples stay labeled healthy and every flag a
+  /// detector raises on them counts as a false alarm.
   double baseline_drift = 0.0;
   /// Fraction of the run [0, 1) after which the injected anomaly activates
   /// (its intensity ramp is re-normalized to the remaining time, so e.g. a

@@ -39,12 +39,31 @@ void BinaryWriter::write_magic(std::uint64_t magic, std::uint64_t version) {
 BinaryReader::BinaryReader(const std::string& path)
     : in_(path, std::ios::binary), path_(path) {
   if (!in_) throw std::runtime_error("BinaryReader: cannot open " + path);
+  in_.seekg(0, std::ios::end);
+  const std::streamoff end = in_.tellg();
+  in_.seekg(0, std::ios::beg);
+  if (!in_ || end < 0) {
+    throw std::runtime_error("BinaryReader: cannot size " + path);
+  }
+  size_ = static_cast<std::uint64_t>(end);
 }
 
 void BinaryReader::read_raw(void* data, std::size_t size) {
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(size));
   if (!in_ || static_cast<std::size_t>(in_.gcount()) != size) {
     throw std::runtime_error("BinaryReader: truncated read from " + path_);
+  }
+  consumed_ += size;
+}
+
+void BinaryReader::check_length(std::uint64_t count,
+                                std::uint64_t min_bytes) const {
+  const std::uint64_t left = consumed_ < size_ ? size_ - consumed_ : 0;
+  if (count > left / min_bytes) {
+    throw std::runtime_error(
+        "BinaryReader: length " + std::to_string(count) + " (" +
+        std::to_string(min_bytes) + " bytes each) exceeds the " +
+        std::to_string(left) + " bytes left in " + path_);
   }
 }
 
@@ -68,6 +87,7 @@ double BinaryReader::read_f64() {
 
 std::string BinaryReader::read_string() {
   const auto size = read_u64();
+  check_length(size, 1);
   std::string value(size, '\0');
   if (size > 0) read_raw(value.data(), size);
   return value;
@@ -75,6 +95,7 @@ std::string BinaryReader::read_string() {
 
 std::vector<double> BinaryReader::read_f64_vector() {
   const auto size = read_u64();
+  check_length(size, sizeof(double));
   std::vector<double> values(size);
   if (size > 0) read_raw(values.data(), size * sizeof(double));
   return values;
@@ -82,6 +103,7 @@ std::vector<double> BinaryReader::read_f64_vector() {
 
 std::vector<std::string> BinaryReader::read_string_vector() {
   const auto size = read_u64();
+  check_length(size, sizeof(std::uint64_t));  // each string has its prefix
   std::vector<std::string> values;
   values.reserve(size);
   for (std::uint64_t i = 0; i < size; ++i) values.push_back(read_string());

@@ -31,6 +31,10 @@ class BinaryWriter {
   std::string path_;
 };
 
+/// Reads a regular file; its size is taken at open.  Every length-prefixed
+/// read checks that its payload fits in the bytes left before allocating,
+/// so a corrupt or hostile prefix is a std::runtime_error, never an
+/// allocation sized by the prefix.
 class BinaryReader {
  public:
   explicit BinaryReader(const std::string& path);
@@ -45,6 +49,12 @@ class BinaryReader {
   /// Throws std::runtime_error if magic/version do not match.
   void expect_magic(std::uint64_t magic, std::uint64_t version);
 
+  /// Throws std::runtime_error naming the length, the bytes left and the
+  /// path unless `count` elements of at least `min_bytes` encoded bytes
+  /// each (min_bytes >= 1) fit in the unread rest of the file.  Decoders
+  /// call it before reserving room for a count-prefixed sequence.
+  void check_length(std::uint64_t count, std::uint64_t min_bytes) const;
+
   /// True when every byte has been consumed — used to iterate frame streams
   /// (e.g. a capture file of consecutive SampleBatch frames).
   bool at_end();
@@ -53,6 +63,8 @@ class BinaryReader {
   void read_raw(void* data, std::size_t size);
   std::ifstream in_;
   std::string path_;
+  std::uint64_t size_ = 0;      // file size at open
+  std::uint64_t consumed_ = 0;  // bytes read so far
 };
 
 }  // namespace prodigy::util

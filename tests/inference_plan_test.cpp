@@ -6,6 +6,7 @@
 
 #include "core/vae.hpp"
 #include "nn/mlp.hpp"
+#include "tensor/ops.hpp"
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -182,7 +183,11 @@ TEST(InferencePlanVaeTest, FusedReconstructionErrorMatchesLayerwiseOracle) {
                                    std::size_t{64}, std::size_t{70}}) {
       const tensor::Matrix x = random_input(rows, 12, 400 + rows);
       const auto fused = vae.reconstruction_error(x);
-      const auto oracle = vae.reconstruction_error_layerwise(x);
+      // The layer-by-layer statement of the same score: encoder, mu head,
+      // decoder, then the row-wise mean absolute error.
+      const auto oracle = tensor::rowwise_mean_abs_error(
+          x, vae.decoder().forward_inference(vae.mu_head().forward_inference(
+                 vae.encoder().forward_inference(x))));
       ASSERT_EQ(fused.size(), oracle.size());
       for (std::size_t i = 0; i < fused.size(); ++i) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(fused[i]),

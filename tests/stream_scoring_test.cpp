@@ -8,16 +8,13 @@
 #include "pipeline/preprocess.hpp"
 #include "stream/event_bus.hpp"
 #include "stream/ingestor.hpp"
-#include "stream/model_provider.hpp"
 #include "stream/online_scorer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 namespace {
@@ -324,57 +321,6 @@ TEST_F(StreamScoringTest, PlannedVerdictsMatchFullExtractionAtEveryShape) {
         ASSERT_NE(it, verdicts.end());
         EXPECT_EQ(it->second.score,
                   full_extraction_score(bundle, config, node, w))
-            << "node " << node.component_id << " window " << w;
-      }
-    }
-  }
-}
-
-/// Leases one fixed bundle as generation 1.
-class FixedProvider : public stream::ModelProvider {
- public:
-  explicit FixedProvider(core::ModelBundle bundle)
-      : bundle_(std::make_shared<const core::ModelBundle>(std::move(bundle))) {}
-  Lease acquire() const override { return {bundle_, 1}; }
-  void on_verdict(const stream::VerdictEvent&,
-                  std::span<const double>) override {}
-
- private:
-  std::shared_ptr<const core::ModelBundle> bundle_;
-};
-
-TEST_F(StreamScoringTest, ProviderWithAnotherSelectionScoresLikeBatch) {
-  // The scorer owns a 16-column bundle, but its provider leases a
-  // 128-column one: windows must extract full vectors, so every verdict
-  // equals the batch score of the leased bundle.
-  auto narrow_options = fast_options();
-  narrow_options.top_k_features = 16;
-  const auto narrow = deploy::AnalyticsService::train_from_store(
-      store_, train_jobs_, narrow_options, /*explain=*/false);
-  auto wide_options = fast_options();
-  wide_options.top_k_features = 128;
-  const auto wide = deploy::AnalyticsService::train_from_store(
-      store_, train_jobs_, wide_options, /*explain=*/false);
-  const core::ModelBundle& leased = wide.bundle();
-  FixedProvider provider(leased);
-
-  const auto replay_job = make_job(53, "LAMMPS", 2, 150);
-  for (const std::size_t hop : {std::size_t{16}, std::size_t{64}}) {
-    SCOPED_TRACE("W=64 H=" + std::to_string(hop));
-    stream::OnlineScorerConfig config;
-    config.window = 64;
-    config.hop = hop;
-    config.model_provider = &provider;
-    const auto verdicts = stream_verdicts(narrow.bundle(), config, replay_job);
-    const std::size_t per_node = (150 - 64) / hop + 1;
-    ASSERT_EQ(verdicts.size(), 2 * per_node);
-    for (const auto& node : replay_job.nodes) {
-      for (std::uint64_t w = 0; w < per_node; ++w) {
-        const auto it = verdicts.find({node.component_id, w});
-        ASSERT_NE(it, verdicts.end());
-        EXPECT_EQ(it->second.model_generation, 1u);
-        EXPECT_EQ(it->second.score,
-                  full_extraction_score(leased, config, node, w))
             << "node " << node.component_id << " window " << w;
       }
     }

@@ -1,10 +1,19 @@
+#include "core/model_trainer.hpp"
+#include "deploy/dsos.hpp"
+#include "nn/dense.hpp"
+#include "nn/mlp.hpp"
+#include "stream/sample_batch.hpp"
 #include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 namespace prodigy::util {
 namespace {
@@ -125,6 +134,143 @@ TEST(SerializeTest, TruncatedReadThrows) {
 
 TEST(SerializeTest, MissingFileThrows) {
   EXPECT_THROW(BinaryReader("/nonexistent/dir/f.bin"), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Length prefixes.  Each corrupt prefix claims at least 2^48 bytes, past a
+// 47-bit user address space: a decoder that allocated before checking would
+// fail with std::bad_alloc (or std::length_error) without touching memory,
+// whatever the overcommit policy, instead of reporting a corrupt file.
+
+constexpr std::uint64_t kHugeCount = std::uint64_t{1} << 50;
+
+/// Overwrites the u64 at byte `offset` of `path` after checking that the
+/// field holds `expected` (so a format change fails loudly, not silently).
+void patch_u64(const std::string& path, std::streamoff offset,
+               std::uint64_t expected, std::uint64_t value) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  std::uint64_t current = 0;
+  file.seekg(offset);
+  file.read(reinterpret_cast<char*>(&current), sizeof current);
+  ASSERT_EQ(current, expected) << "field moved in " << path;
+  file.seekp(offset);
+  file.write(reinterpret_cast<const char*>(&value), sizeof value);
+  ASSERT_TRUE(file.good());
+}
+
+/// A prefix followed by 8 payload bytes: far short of any claimed length.
+void write_prefix(const std::string& path, std::uint64_t prefix) {
+  BinaryWriter writer(path);
+  writer.write_u64(prefix);
+  writer.write_u64(0);
+}
+
+TEST(LengthPrefixTest, StringClaimBeyondFileThrows) {
+  TempFile file("prodigy_prefix_string.bin");
+  write_prefix(file.path(), kHugeCount);
+  BinaryReader reader(file.path());
+  try {
+    (void)reader.read_string();
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    // The message names the claimed length, the bytes left and the file.
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(kHugeCount)), std::string::npos) << what;
+    EXPECT_NE(what.find("8 bytes left"), std::string::npos) << what;
+    EXPECT_NE(what.find(file.path()), std::string::npos) << what;
+  }
+}
+
+TEST(LengthPrefixTest, F64VectorClaimBeyondFileThrows) {
+  TempFile file("prodigy_prefix_f64.bin");
+  write_prefix(file.path(), kHugeCount);
+  BinaryReader reader(file.path());
+  EXPECT_THROW((void)reader.read_f64_vector(), std::runtime_error);
+}
+
+TEST(LengthPrefixTest, StringVectorClaimBeyondFileThrows) {
+  TempFile file("prodigy_prefix_strings.bin");
+  write_prefix(file.path(), kHugeCount);
+  BinaryReader reader(file.path());
+  EXPECT_THROW((void)reader.read_string_vector(), std::runtime_error);
+}
+
+TEST(LengthPrefixTest, DenseShapeBeyondFileThrows) {
+  // in = out = 2^23 claims a 2^49-byte weight matrix; the stream then
+  // carries a 4-value weight vector.
+  TempFile file("prodigy_prefix_dense.bin");
+  {
+    BinaryWriter writer(file.path());
+    writer.write_u64(std::uint64_t{1} << 23);
+    writer.write_u64(std::uint64_t{1} << 23);
+    writer.write_string("relu");
+    writer.write_f64_vector({0.1, 0.2, 0.3, 0.4});
+    writer.write_f64_vector({0.0, 0.0});
+  }
+  BinaryReader reader(file.path());
+  EXPECT_THROW((void)nn::Dense::load(reader), std::runtime_error);
+}
+
+TEST(LengthPrefixTest, SampleFrameRowCountBeyondFileThrows) {
+  TempFile file("prodigy_prefix_frame.bin");
+  {
+    stream::SampleBatch batch;
+    batch.rows.push_back({1, 2, 3, "app", {1.0}});
+    BinaryWriter writer(file.path());
+    batch.write_frame(writer);
+  }
+  patch_u64(file.path(), 24, 1, kHugeCount);  // magic, version, sequence
+  BinaryReader reader(file.path());
+  EXPECT_THROW((void)stream::SampleBatch::read_frame(reader), std::runtime_error);
+}
+
+TEST(LengthPrefixTest, MlpLayerCountBeyondFileThrows) {
+  TempFile file("prodigy_prefix_mlp.bin");
+  {
+    Rng rng(1);
+    const nn::Mlp mlp(3, {{2, nn::Activation::ReLU}}, rng);
+    BinaryWriter writer(file.path());
+    mlp.save(writer);
+  }
+  patch_u64(file.path(), 8, 1, kHugeCount);  // after input_dim
+  BinaryReader reader(file.path());
+  EXPECT_THROW((void)nn::Mlp::load(reader), std::runtime_error);
+}
+
+TEST(LengthPrefixTest, MetadataColumnCountBeyondFileThrows) {
+  TempFile file("prodigy_prefix_metadata.bin");
+  {
+    core::DeploymentMetadata metadata;
+    metadata.selected_columns = {4, 7};
+    BinaryWriter writer(file.path());
+    metadata.save(writer);
+  }
+  // magic, version, empty system string, empty feature-name vector.
+  patch_u64(file.path(), 32, 2, kHugeCount);
+  BinaryReader reader(file.path());
+  EXPECT_THROW((void)core::DeploymentMetadata::load(reader), std::runtime_error);
+}
+
+TEST(LengthPrefixTest, DsosNodeShapeBeyondFileThrows) {
+  TempFile file("prodigy_prefix_dsos.bin");
+  {
+    telemetry::JobTelemetry job;
+    job.job_id = 1;
+    telemetry::NodeSeries node;
+    node.job_id = 1;
+    node.component_id = 2;
+    node.anomaly = "";
+    node.values = tensor::Matrix(2, 3, 1.0);
+    job.nodes.push_back(node);
+    deploy::DsosStore store;
+    store.ingest(job);
+    store.save(file.path());
+  }
+  // magic, version, job count, job id, empty app, node count, job id,
+  // component id, empty app, empty anomaly, label: rows at 88, cols at 96.
+  patch_u64(file.path(), 88, 2, std::uint64_t{1} << 23);
+  patch_u64(file.path(), 96, 3, std::uint64_t{1} << 23);
+  EXPECT_THROW((void)deploy::DsosStore::load(file.path()), std::runtime_error);
 }
 
 }  // namespace

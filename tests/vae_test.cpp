@@ -69,6 +69,27 @@ TEST(VaeTest, ParameterCountMatchesArchitecture) {
   EXPECT_EQ(vae.parameter_count(), expected);
 }
 
+TEST(VaeTest, ScoringBeforeAPlanExistsThrows) {
+  // A default-constructed VAE has no fused plan and no layers to score
+  // with; both scoring entry points refuse it by name, not through a shape
+  // error further down.
+  const VariationalAutoencoder vae;
+  const tensor::Matrix x(2, 4, 0.5);
+  for (const bool reconstruct : {false, true}) {
+    try {
+      if (reconstruct) {
+        (void)vae.reconstruct(x);
+      } else {
+        (void)vae.reconstruction_error(x);
+      }
+      ADD_FAILURE() << "expected std::logic_error";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("before fit"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(VaeTest, FitRejectsWrongWidth) {
   VariationalAutoencoder vae(small_config(5));
   EXPECT_THROW(vae.fit(tensor::Matrix(10, 4, 0.0), fast_options()),

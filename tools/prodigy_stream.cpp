@@ -7,8 +7,6 @@
 //                  [--drift 0.3] [--anomaly-start 0.5]
 //                  [--seed 7] [--job-id 7001] [--speed 50]
 //                  [--window 64 --hop 16 --debounce 3]
-//                  [--adapt] [--adapt-warmup 64 --adapt-lambda 8
-//                   --adapt-min-refit 64 --adapt-epochs 60 --adapt-sync]
 //                  [--queue 256 --policy block|drop-oldest|drop-newest]
 //                  [--flush-rows 256] [--verbose] [--verify-batch]
 //                  [--replay FILE] [--out-store FILE] [--metrics-out PATH]
@@ -23,12 +21,7 @@
 //
 // --drift ramps the healthy baseline toward a shifted operating point (the
 // new normal); --anomaly-start delays the injected anomaly so it overlaps
-// the drifted baseline.  --adapt hangs an AdaptiveModelManager off the
-// scorer: drift detection on the verdict stream, reservoir refit, validated
-// hot-swap — [drift]/[swap]/[refused] lines show the lifecycle, and the
-// summary reports the adaptation counters.  --verify-batch compares against
-// the frozen bundle and is therefore mutually exclusive with --adapt.
-#include "adapt/model_manager.hpp"
+// the drifted baseline.
 #include "deploy/service.hpp"
 #include "hpas/anomalies.hpp"
 #include "stream/event_bus.hpp"
@@ -46,7 +39,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -172,8 +164,6 @@ int main(int argc, char** argv) {
         "                      [--drift X] [--anomaly-start F]\n"
         "                      [--seed S] [--job-id ID] [--speed X]\n"
         "                      [--window W --hop H --debounce K]\n"
-        "                      [--adapt] [--adapt-warmup N --adapt-lambda X\n"
-        "                       --adapt-min-refit N --adapt-epochs E --adapt-sync]\n"
         "                      [--queue CAP --policy block|drop-oldest|drop-newest]\n"
         "                      [--flush-rows N] [--verbose] [--verify-batch]\n"
         "                      [--replay FILE] [--out-store FILE] [--metrics-out PATH]\n"
@@ -188,12 +178,6 @@ int main(int argc, char** argv) {
   stream::IngestorConfig ingest_config;
   ingest_config.queue_capacity = flags.count("queue", 256);
   ingest_config.flush_rows = flags.count("flush-rows", 256);
-  adapt::AdaptationConfig adapt_config;
-  adapt_config.drift.warmup_observations = flags.count("adapt-warmup", 64);
-  adapt_config.drift.lambda = flags.get("adapt-lambda", 8.0);
-  adapt_config.min_refit_samples = flags.count("adapt-min-refit", 64);
-  adapt_config.refit_epochs = flags.count("adapt-epochs", 60);
-  adapt_config.synchronous = flags.has("adapt-sync");
   const std::size_t nodes = flags.count("nodes", 32);
   util::set_log_level(util::LogLevel::Warn);
 
@@ -242,11 +226,6 @@ int main(int argc, char** argv) {
 
   const bool verbose = flags.has("verbose");
   const bool verify = flags.has("verify-batch");
-  const bool adapt = flags.has("adapt");
-  if (verify && adapt) {
-    tools::usage("--verify-batch compares against the frozen bundle and "
-                 "cannot be combined with --adapt\n");
-  }
   std::mutex print_mutex;
   std::map<VerdictKey, stream::VerdictEvent> verdicts;
   bus.subscribe([&](const stream::VerdictEvent& event) {
@@ -279,28 +258,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(event.consecutive));
   });
 
-  // The manager must outlive the scorer (the scorer calls back into it from
-  // scoring tasks), so it is declared first.
-  std::unique_ptr<adapt::AdaptiveModelManager> manager;
-  if (adapt) {
-    bus.subscribe_drift([&](const stream::DriftEvent& event) {
-      std::lock_guard lock(print_mutex);
-      const char* what = event.kind == stream::DriftEvent::Kind::DriftDetected
-                             ? "DRIFT detected"
-                             : (event.kind == stream::DriftEvent::Kind::ModelSwapped
-                                    ? "model SWAPPED in"
-                                    : "candidate REFUSED");
-      std::printf("[adapt] %s: generation %llu, statistic %.3f (model "
-                  "threshold %.3f), %llu reservoir samples\n",
-                  what, static_cast<unsigned long long>(event.generation),
-                  event.statistic, event.threshold,
-                  static_cast<unsigned long long>(event.reservoir_samples));
-    });
-    manager = std::make_unique<adapt::AdaptiveModelManager>(
-        bundle, adapt_config, &bus, "stream");
-  }
-
-  scorer_config.model_provider = manager.get();
   stream::OnlineScorer scorer(bundle, bus, scorer_config);
 
   deploy::DsosStore store;
@@ -354,19 +311,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scorer.score_errors()),
               static_cast<unsigned long long>(bus.transitions_published()),
               static_cast<unsigned long long>(bus.suppressed()));
-  if (manager) {
-    manager->stop();  // join the refit worker before reading the counters
-    const auto adapt_stats = manager->adaptation_stats();
-    std::printf("adaptation: generation %llu, %llu drifts, %llu refits, "
-                "%llu swaps, %llu refusals, %llu/%llu reservoir samples kept\n",
-                static_cast<unsigned long long>(adapt_stats.generation),
-                static_cast<unsigned long long>(adapt_stats.drifts_detected),
-                static_cast<unsigned long long>(adapt_stats.refits_started),
-                static_cast<unsigned long long>(adapt_stats.swaps_completed),
-                static_cast<unsigned long long>(adapt_stats.swaps_refused),
-                static_cast<unsigned long long>(adapt_stats.reservoir_samples),
-                static_cast<unsigned long long>(adapt_stats.reservoir_offered));
-  }
 
   if (flags.has("out-store")) {
     const auto path = flags.get("out-store", std::string());

@@ -9,7 +9,7 @@
 // fitted to the healthy samples only and the bundle (weights + scaler +
 // deployment metadata) is written to --out.
 //
-// Detector-zoo mode (construction via adapt::DetectorRegistry, the single
+// Detector-zoo mode (construction via baselines::DetectorRegistry, the single
 // source of truth for names/configs shared with the benches):
 //
 //   prodigy_train --store store.dsos --detector usad [--features K ...]
@@ -18,7 +18,7 @@
 // trains the named detector on the snapshot's feature dataset and reports
 // its verdict counts (plus tuned macro-F1 when the snapshot is labeled)
 // instead of writing a bundle — only the Prodigy VAE is deployable.
-#include "adapt/detector_registry.hpp"
+#include "baselines/detector_registry.hpp"
 #include "deploy/dsos.hpp"
 #include "deploy/service.hpp"
 #include "eval/metrics.hpp"
@@ -39,9 +39,9 @@ using namespace prodigy;
 /// The zoo path: same dataset flow as train_from_store (features -> select
 /// -> scale) but through any registry detector; evaluation only, no bundle.
 int run_zoo(const deploy::DsosStore& store, const std::string& name,
-            const adapt::DetectorOptions& options,
+            const baselines::DetectorOptions& options,
             const pipeline::PreprocessOptions& preprocess, std::size_t top_k) {
-  auto& registry = adapt::DetectorRegistry::global();
+  auto& registry = baselines::DetectorRegistry::global();
 
   std::vector<telemetry::JobTelemetry> jobs;
   for (const auto job_id : store.job_ids()) jobs.push_back(store.query_job(job_id));
@@ -86,9 +86,9 @@ int run_zoo(const deploy::DsosStore& store, const std::string& name,
 int main(int argc, char** argv) {
   const tools::Flags flags(argc, argv);
   if (flags.has("list-detectors")) {
-    for (const auto& name : adapt::DetectorRegistry::global().names()) {
+    for (const auto& name : baselines::DetectorRegistry::global().names()) {
       std::printf("%-18s %s\n", name.c_str(),
-                  adapt::DetectorRegistry::global().display_name(name).c_str());
+                  baselines::DetectorRegistry::global().display_name(name).c_str());
     }
     return 0;
   }
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   options.model.train.batch_size = flags.count("batch", 32);
   options.model.train.learning_rate = flags.get("lr", 1e-3);
   options.system_name = flags.get("system", std::string("Eclipse"));
-  adapt::DetectorOptions zoo;
+  baselines::DetectorOptions zoo;
   zoo.epochs = options.model.train.epochs;
   zoo.batch_size = options.model.train.batch_size;
   zoo.learning_rate = options.model.train.learning_rate;
