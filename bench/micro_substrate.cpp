@@ -1,7 +1,7 @@
 // Micro-benchmarks for the substrate kernels that determine whether the
 // deployment's offline training and online scoring budgets (paper §4, §6.2)
 // are attainable: GEMM, FFT, single feature extractors, chi-square scoring,
-// one VAE training epoch, and the baselines' fit costs.
+// VAE training epochs, parallel_for dispatch, and the baselines' fit costs.
 #include "bench_common.hpp"
 
 #include "baselines/isolation_forest.hpp"
@@ -15,10 +15,13 @@
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 namespace {
 
@@ -288,37 +291,68 @@ void BM_Chi2Scores(benchmark::State& state) {
 }
 BENCHMARK(BM_Chi2Scores)->Arg(512)->Unit(benchmark::kMillisecond);
 
-// One training epoch (plus the detector's threshold pass) at a given input
-// width.  shipped:0 is the bench budget model ({64,24}/8, batch 32, no
-// validation) on 256 rows; shipped:1 is the library default the tools and
-// bench/e2e train (core::ProdigyConfig: {64,32}/8, batch 64, 20% validation)
-// on 112 rows, so its epoch is the e2e fit's: a 64-row and a 26-row step,
-// then the 22-row validation pass.
+// Training epochs at a given input width: each iteration runs kEpochs
+// epochs of VariationalAutoencoder::fit on one VAE built outside the timed
+// loop, so the time is the steps and validation passes, not the VAE's
+// construction (263k Gaussian draws for the shipped model) or a detector's
+// threshold pass; s_per_epoch divides it by the epochs run.  shipped:0 is
+// the bench budget model ({64,24}/8, batch 32, no validation) on 256 rows;
+// shipped:1 is the library default the tools and bench/e2e train
+// (core::ProdigyConfig: {64,32}/8, batch 64, 20% validation) on 112 rows, so
+// its epoch is the e2e fit's: a 64-row and a 26-row step, then the 22-row
+// validation pass.
 void BM_VaeEpoch(benchmark::State& state) {
+  constexpr std::size_t kEpochs = 10;
   const auto width = static_cast<std::size_t>(state.range(0));
   const bool shipped = state.range(1) != 0;
   const auto X = random_matrix(shipped ? 112 : 256, width, 7);
+  core::ProdigyConfig config;
+  if (!shipped) config = bench::prodigy_config(bench::ModelOptions{});
+  config.train.epochs = kEpochs;
+  config.vae.input_dim = width;
+  core::VariationalAutoencoder vae(config.vae);
   for (auto _ : state) {
-    state.PauseTiming();
-    core::ProdigyConfig config;
-    if (shipped) {
-      config.train.epochs = 1;
-    } else {
-      bench::ModelOptions options;
-      options.epochs = 1;
-      config = bench::prodigy_config(options);
-    }
-    core::ProdigyDetector detector(config);
-    state.ResumeTiming();
-    detector.fit_healthy(X);
+    const nn::TrainHistory history = vae.fit(X, config.train);
+    benchmark::DoNotOptimize(history.train_loss.data());
   }
+  state.counters["s_per_epoch"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kEpochs),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_VaeEpoch)
     ->Args({256, 0})
     ->Args({1024, 0})
     ->Args({2000, 1})
     ->ArgNames({"width", "shipped"})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Fork-join cost of util::parallel_for itself: an empty body over 4 or 8
+// indices (one chunk each on a pool of two or more workers), called
+// back-to-back or after a 1 ms idle gap, once every worker has gone back to
+// sleep on the queue.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  const bool idle_gap = state.range(1) != 0;
+  auto& pool = util::ThreadPool::global();
+  for (auto _ : state) {
+    if (idle_gap) {
+      state.PauseTiming();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      state.ResumeTiming();
+    }
+    util::parallel_for(pool, 0, chunks,
+                       [](std::size_t i) { benchmark::DoNotOptimize(i); });
+  }
+}
+BENCHMARK(BM_ParallelForDispatch)
+    ->Args({4, 0})
+    ->Args({8, 0})
+    ->Args({4, 1})
+    ->Args({8, 1})
+    ->ArgNames({"chunks", "idle_gap"})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 void BM_IsolationForestFit(benchmark::State& state) {
   const auto X = random_matrix(static_cast<std::size_t>(state.range(0)), 256, 8);

@@ -85,6 +85,15 @@ void Usad::fit_healthy(const tensor::Matrix& X) {
   };
 
   history_ = nn::TrainHistory{};
+  // The step's batch, AE1's output, the loss gradient and the decoder's
+  // input gradient, reused across steps.
+  tensor::Matrix x, latent, w1, grad, grad_latent;
+  // AE1's reconstruction of the batch, gradient stopped: the adversarial
+  // terms treat it as data.
+  const auto reconstruct_ae1 = [&] {
+    encoder.forward_inference_into(x, latent);
+    decoder1.forward_inference_into(latent, w1);
+  };
   for (std::size_t epoch = 0; epoch < config.train.epochs; ++epoch) {
     const double n = static_cast<double>(epoch + 1);
     const double w_direct = 1.0 / n;
@@ -93,27 +102,26 @@ void Usad::fit_healthy(const tensor::Matrix& X) {
     std::size_t epoch_rows = 0;
 
     for (const auto& batch : nn::make_batches(X.rows(), config.train.batch_size, rng)) {
-      const tensor::Matrix x = X.select_rows(batch);
+      X.select_rows_into(batch, x);
 
       // ---- Phase 1: update encoder + decoder1 on L_AE1. ----
       zero_all();
       // Direct term: 1/n * ||x - D1(E(x))||^2.
       {
-        const tensor::Matrix w1 = decoder1.forward(encoder.forward(x));
-        nn::LossResult loss = nn::mse_loss(w1, x);
-        loss.grad *= w_direct;
-        encoder.backward_params(decoder1.backward(loss.grad));
-        epoch_loss += w_direct * loss.value * static_cast<double>(x.rows());
+        const double loss = nn::mse_loss(decoder1.forward(encoder.forward(x)), x, &grad);
+        grad *= w_direct;
+        decoder1.backward_into(grad, grad_latent);
+        encoder.backward_params(grad_latent);
+        epoch_loss += w_direct * loss * static_cast<double>(x.rows());
       }
-      // Adversarial term: (1-1/n) * ||x - D2(E(w1))||^2, gradient stopped
-      // at w1 (treated as data for this pass).
+      // Adversarial term: (1-1/n) * ||x - D2(E(w1))||^2.
       {
-        const tensor::Matrix w1 = decoder1.forward_inference(encoder.forward_inference(x));
-        const tensor::Matrix w3 = decoder2.forward(encoder.forward(w1));
-        nn::LossResult loss = nn::mse_loss(w3, x);
-        loss.grad *= w_adv;
-        encoder.backward_params(decoder2.backward(loss.grad));
-        epoch_loss += w_adv * loss.value * static_cast<double>(x.rows());
+        reconstruct_ae1();
+        const double loss = nn::mse_loss(decoder2.forward(encoder.forward(w1)), x, &grad);
+        grad *= w_adv;
+        decoder2.backward_into(grad, grad_latent);
+        encoder.backward_params(grad_latent);
+        epoch_loss += w_adv * loss * static_cast<double>(x.rows());
         // decoder2's accumulated gradients are not in opt1 -> inert.
       }
       clip_all();
@@ -123,19 +131,19 @@ void Usad::fit_healthy(const tensor::Matrix& X) {
       zero_all();
       // Direct term: 1/n * ||x - D2(E(x))||^2.
       {
-        const tensor::Matrix w2 = decoder2.forward(encoder.forward(x));
-        nn::LossResult loss = nn::mse_loss(w2, x);
-        loss.grad *= w_direct;
-        encoder.backward_params(decoder2.backward(loss.grad));
+        nn::mse_loss(decoder2.forward(encoder.forward(x)), x, &grad);
+        grad *= w_direct;
+        decoder2.backward_into(grad, grad_latent);
+        encoder.backward_params(grad_latent);
       }
       // Adversarial term: -(1-1/n) * ||x - D2(E(w1))||^2 (decoder2 learns to
       // *fail* to reconstruct AE1's output, isolating anomalies).
       {
-        const tensor::Matrix w1 = decoder1.forward_inference(encoder.forward_inference(x));
-        const tensor::Matrix w3 = decoder2.forward(encoder.forward(w1));
-        nn::LossResult loss = nn::mse_loss(w3, x);
-        loss.grad *= -w_adv;
-        encoder.backward_params(decoder2.backward(loss.grad));
+        reconstruct_ae1();
+        nn::mse_loss(decoder2.forward(encoder.forward(w1)), x, &grad);
+        grad *= -w_adv;
+        decoder2.backward_into(grad, grad_latent);
+        encoder.backward_params(grad_latent);
       }
       clip_all();
       opt2.step();

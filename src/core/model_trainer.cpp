@@ -9,6 +9,7 @@ namespace prodigy::core {
 
 namespace {
 constexpr std::uint64_t kMetadataMagic = 0x50524f444d455441ULL;  // "PRODMETA"
+constexpr const char* kTransformStage = "core.model_trainer.transform";
 }
 
 void DeploymentMetadata::save(util::BinaryWriter& writer) const {
@@ -38,7 +39,9 @@ DeploymentMetadata DeploymentMetadata::load(util::BinaryReader& reader) {
 }
 
 tensor::Matrix ModelBundle::transform_full(const tensor::Matrix& full_features) const {
-  util::StageTimer stage("core.model_trainer.transform");
+  // Every streamed window passes here: the histogram is resolved once.
+  static util::Histogram& histogram = util::stage_histogram(kTransformStage);
+  util::StageTimer stage(histogram, kTransformStage);
   const tensor::Matrix selected = full_features.select_columns(metadata.selected_columns);
   return scaler.transform(selected);
 }

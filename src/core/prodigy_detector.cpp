@@ -10,6 +10,7 @@ namespace prodigy::core {
 
 namespace {
 constexpr std::uint64_t kDetectorMagic = 0x50524f4447593144ULL;  // "PRODGY1D"
+constexpr const char* kScoreStage = "core.prodigy_detector.score";
 }
 
 void ProdigyDetector::fit(const tensor::Matrix& X, const std::vector<int>& labels) {
@@ -99,10 +100,12 @@ ProdigyDetector::UnsupervisedFitReport ProdigyDetector::fit_unsupervised(
 
 std::vector<double> ProdigyDetector::score(const tensor::Matrix& X) const {
   if (!model_) throw std::logic_error("ProdigyDetector::score before fit");
-  util::StageTimer stage("core.prodigy_detector.score");
-  util::MetricsRegistry::global()
-      .counter("prodigy_detector_samples_scored_total")
-      .increment(X.rows());
+  // Every streamed window passes here: the metrics are resolved once.
+  static util::Histogram& seconds = util::stage_histogram(kScoreStage);
+  static util::Counter& samples = util::MetricsRegistry::global().counter(
+      "prodigy_detector_samples_scored_total");
+  util::StageTimer stage(seconds, kScoreStage);
+  samples.increment(X.rows());
   return model_->reconstruction_error(X);
 }
 

@@ -31,8 +31,8 @@ std::vector<nn::LayerSpec> hidden_specs(const std::vector<std::size_t>& sizes,
 // buffers (callers cannot reference those), so handing them to
 // forward_inference_into is safe.
 struct StepScratch {
-  tensor::Matrix eps, sigma, z, grad_z, grad_mu, grad_logvar, grad_hidden,
-      grad_hidden2;
+  tensor::Matrix eps, sigma, z, grad_recon, kl_grad_mu, kl_grad_logvar, grad_z,
+      grad_mu, grad_logvar, grad_hidden, grad_hidden2;
 };
 struct InferScratch {
   tensor::Matrix h, mu, logvar, z, recon;
@@ -106,13 +106,16 @@ VariationalAutoencoder::StepResult VariationalAutoencoder::forward_backward(
   const tensor::Matrix& reconstruction = decoder_.forward(s.z);
 
   // Losses.
-  const nn::LossResult recon = config_.recon_loss == ReconLoss::Mse
-                                   ? nn::mse_loss(reconstruction, x)
-                                   : nn::mae_loss(reconstruction, x);
-  const nn::KlResult kl = nn::gaussian_kl(mu, logvar);
+  const double recon = config_.recon_loss == ReconLoss::Mse
+                           ? nn::mse_loss(reconstruction, x, &s.grad_recon)
+                           : nn::mae_loss(reconstruction, x, &s.grad_recon);
+  const double kl = nn::gaussian_kl(mu, logvar, &s.kl_grad_mu, &s.kl_grad_logvar);
 
-  // Backward through decoder to the latent sample.
-  decoder_.backward_into(recon.grad, s.grad_z);
+  // Backward through decoder to the latent sample.  Every layer takes one
+  // backward per step, so each overwrites its parameter gradients and the
+  // step needs no zeroing pass.
+  constexpr auto kOverwrite = nn::GradientWrite::Overwrite;
+  decoder_.backward_into(s.grad_recon, s.grad_z, kOverwrite);
 
   // Reparameterization: dL/dmu = dL/dz ; dL/dlogvar = dL/dz * 0.5*sigma*eps.
   s.grad_mu = s.grad_z;
@@ -123,18 +126,18 @@ VariationalAutoencoder::StepResult VariationalAutoencoder::forward_backward(
   }
   // Plus the KL term's direct gradients.
   for (std::size_t i = 0; i < s.grad_mu.size(); ++i) {
-    s.grad_mu.data()[i] += config_.kl_weight * kl.grad_mu.data()[i];
-    s.grad_logvar.data()[i] += config_.kl_weight * kl.grad_logvar.data()[i];
+    s.grad_mu.data()[i] += config_.kl_weight * s.kl_grad_mu.data()[i];
+    s.grad_logvar.data()[i] += config_.kl_weight * s.kl_grad_logvar.data()[i];
   }
 
   // Backward through the two heads into the shared encoder trunk, which
   // stops at its parameter gradients: dL/dx of the data is never read.
-  mu_head_.backward_into(s.grad_mu, s.grad_hidden);
-  logvar_head_.backward_into(s.grad_logvar, s.grad_hidden2);
+  mu_head_.backward_into(s.grad_mu, s.grad_hidden, kOverwrite);
+  logvar_head_.backward_into(s.grad_logvar, s.grad_hidden2, kOverwrite);
   s.grad_hidden += s.grad_hidden2;
-  encoder_.backward_params(s.grad_hidden);
+  encoder_.backward_params(s.grad_hidden, kOverwrite);
 
-  return {recon.value, kl.value};
+  return {recon, kl};
 }
 
 nn::TrainHistory VariationalAutoencoder::fit(const tensor::Matrix& X,
@@ -181,15 +184,12 @@ nn::TrainHistory VariationalAutoencoder::fit(const tensor::Matrix& X,
   nn::EarlyStopping stopper(options.early_stopping_patience);
   util::Rng eval_rng(options.seed ^ 0xabcdef);
 
+  tensor::Matrix x;  // the step's batch, gathered in place
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     double epoch_loss = 0.0;
     std::size_t epoch_rows = 0;
     for (const auto& batch : nn::make_batches(train.rows(), options.batch_size, rng)) {
-      const tensor::Matrix x = train.select_rows(batch);
-      encoder_.zero_gradients();
-      mu_head_.zero_gradients();
-      logvar_head_.zero_gradients();
-      decoder_.zero_gradients();
+      train.select_rows_into(batch, x);
       const StepResult step = forward_backward(x, rng);
       optimizer.step();
       // Row-weighted epoch loss: forward_backward returns per-batch *means*,
@@ -278,9 +278,9 @@ double VariationalAutoencoder::evaluate_loss(const tensor::Matrix& X,
   }
   decoder_.forward_inference_into(s.z, s.recon);
   const double recon = config_.recon_loss == ReconLoss::Mse
-                           ? nn::mse_loss(s.recon, X).value
-                           : nn::mae_loss(s.recon, X).value;
-  return recon + config_.kl_weight * nn::gaussian_kl(s.mu, s.logvar).value;
+                           ? nn::mse_loss(s.recon, X)
+                           : nn::mae_loss(s.recon, X);
+  return recon + config_.kl_weight * nn::gaussian_kl(s.mu, s.logvar);
 }
 
 void VariationalAutoencoder::save(util::BinaryWriter& writer) const {

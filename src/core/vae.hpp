@@ -80,7 +80,8 @@ class VariationalAutoencoder {
     double recon = 0.0;
     double kl = 0.0;
   };
-  /// One optimization step over a batch; gradients accumulate into layers.
+  /// One step's forward and backward over a batch; overwrites every
+  /// layer's parameter gradients.
   StepResult forward_backward(const tensor::Matrix& x, util::Rng& rng);
   /// Repacks the fused plan from the current parameters.
   void build_inference_plan();

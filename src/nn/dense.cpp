@@ -74,28 +74,49 @@ tensor::Matrix Dense::backward(const tensor::Matrix& grad_output) {
 }
 
 void Dense::backward_into(const tensor::Matrix& grad_output,
-                          tensor::Matrix& grad_input) {
-  backward_params(grad_output);
-  tensor::matmul_transposed_b_into(grad_pre_, weights_, grad_input);
+                          tensor::Matrix& grad_input, GradientWrite write) {
+  if (&grad_input == &grad_output) {
+    throw std::invalid_argument(
+        "Dense::backward_into: grad_input must not alias grad_output");
+  }
+  const tensor::Matrix& grad_pre = parameter_gradients(grad_output, write);
+  tensor::matmul_transposed_b_into(grad_pre, weights_, grad_input);
 }
 
-void Dense::backward_params(const tensor::Matrix& grad_output) {
-  grad_pre_.resize_for_overwrite(grad_output.rows(), grad_output.cols());
-  std::copy(grad_output.data(), grad_output.data() + grad_output.size(),
-            grad_pre_.data());
-  apply_activation_gradient(act_, cached_output_, grad_pre_);
+void Dense::backward_params(const tensor::Matrix& grad_output,
+                            GradientWrite write) {
+  parameter_gradients(grad_output, write);
+}
 
-  // Accumulate parameter gradients in place: weight_grad_ += X^T * grad_pre
-  // through the TN kernel's accumulate epilogue (no temporary), bias_grad_
-  // through the order-preserving column-sum helper.  The cached input is a
-  // borrowed view, so the raw-pointer kernel entry point is used directly.
-  tensor::kernels::Epilogue accumulate;
-  accumulate.accumulate = true;
+const tensor::Matrix& Dense::parameter_gradients(const tensor::Matrix& grad_output,
+                                                 GradientWrite write) {
+  // A linear layer's pre-activation gradient is grad_output itself; any
+  // other activation scales a copy by its derivative.
+  const tensor::Matrix* grad_pre = &grad_output;
+  if (act_ != Activation::Linear) {
+    grad_pre_ = grad_output;
+    apply_activation_gradient(act_, cached_output_, grad_pre_);
+    grad_pre = &grad_pre_;
+  }
+
+  // Parameter gradients in place: weight_grad_ (+)= X^T * grad_pre through
+  // the TN kernel (its accumulate epilogue when accumulating; no
+  // temporary), bias_grad_ through the order-preserving column-sum helper.
+  // Overwriting gives the bits of zeroing first: the kernel's ascending-k
+  // sum starts at +0.0, so it is never -0.0 and adding it to 0.0 changes
+  // nothing.  The cached input is a borrowed view, so the raw-pointer
+  // kernel entry point is used directly.
+  tensor::kernels::Epilogue epilogue;
+  epilogue.accumulate = write == GradientWrite::Accumulate;
   tensor::kernels::gemm(tensor::kernels::Layout::TN, in_, out_,
                         cached_input_.rows, cached_input_.data,
-                        cached_input_.cols, grad_pre_.data(), grad_pre_.cols(),
-                        weight_grad_.data(), weight_grad_.cols(), accumulate);
-  tensor::kernels::column_sums_accumulate(grad_pre_, bias_grad_);
+                        cached_input_.cols, grad_pre->data(), grad_pre->cols(),
+                        weight_grad_.data(), weight_grad_.cols(), epilogue);
+  if (write == GradientWrite::Overwrite) {
+    std::fill(bias_grad_.begin(), bias_grad_.end(), 0.0);
+  }
+  tensor::kernels::column_sums_accumulate(*grad_pre, bias_grad_);
+  return *grad_pre;
 }
 
 void Dense::zero_gradients() noexcept {

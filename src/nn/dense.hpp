@@ -8,6 +8,12 @@
 
 namespace prodigy::nn {
 
+/// How a backward pass writes the parameter gradients: added to what the
+/// gradient buffers hold (several backwards per step), or in their place
+/// (a step's only backward, which then needs no zero_gradients() first).
+/// Both give the same bits on zeroed buffers.
+enum class GradientWrite { Accumulate, Overwrite };
+
 class Dense {
  public:
   Dense() = default;
@@ -41,14 +47,18 @@ class Dense {
   /// batch.
   tensor::Matrix backward(const tensor::Matrix& grad_output);
 
-  /// Same, writing dL/d(input) into a caller-owned buffer.
+  /// Same, writing dL/d(input) into a caller-owned buffer that must not
+  /// alias `grad_output` (throws std::invalid_argument), and the parameter
+  /// gradients as `write` says.
   void backward_into(const tensor::Matrix& grad_output,
-                     tensor::Matrix& grad_input);
+                     tensor::Matrix& grad_input,
+                     GradientWrite write = GradientWrite::Accumulate);
 
-  /// Parameter-only backward: accumulates the same weight/bias gradients as
+  /// Parameter-only backward: writes the same weight/bias gradients as
   /// backward_into() and stops there, skipping the dL/d(input) GEMM for a
   /// layer whose input gradient nobody reads (a network's first layer).
-  void backward_params(const tensor::Matrix& grad_output);
+  void backward_params(const tensor::Matrix& grad_output,
+                       GradientWrite write = GradientWrite::Accumulate);
 
   void zero_gradients() noexcept;
 
@@ -77,6 +87,12 @@ class Dense {
     std::size_t cols = 0;
   };
 
+  // The shared half of both backwards: writes the parameter gradients and
+  // returns the pre-activation gradient it used (grad_output itself for a
+  // linear layer, grad_pre_ otherwise).
+  const tensor::Matrix& parameter_gradients(const tensor::Matrix& grad_output,
+                                            GradientWrite write);
+
   std::size_t in_ = 0;
   std::size_t out_ = 0;
   Activation act_ = Activation::Linear;
@@ -87,7 +103,7 @@ class Dense {
 
   InputView cached_input_;        // borrowed; valid until backward()
   tensor::Matrix cached_output_;  // owned post-activation workspace
-  tensor::Matrix grad_pre_;       // owned pre-activation-grad workspace
+  tensor::Matrix grad_pre_;       // pre-activation grad of a nonlinear layer
 };
 
 }  // namespace prodigy::nn

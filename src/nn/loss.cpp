@@ -5,47 +5,57 @@
 
 namespace prodigy::nn {
 
-LossResult mse_loss(const tensor::Matrix& pred, const tensor::Matrix& target) {
+namespace {
+
+// Shapes `out` like `like` for overwrite and returns its data, or nullptr
+// when the caller asked for no gradient.
+double* gradient_buffer(tensor::Matrix* out, const tensor::Matrix& like) {
+  if (out == nullptr) return nullptr;
+  out->resize_for_overwrite(like.rows(), like.cols());
+  return out->data();
+}
+
+}  // namespace
+
+double mse_loss(const tensor::Matrix& pred, const tensor::Matrix& target,
+                tensor::Matrix* grad) {
   if (!pred.same_shape(target)) {
     throw std::invalid_argument("mse_loss: shape mismatch");
   }
-  LossResult result;
-  result.grad = tensor::Matrix(pred.rows(), pred.cols());
+  double* g = gradient_buffer(grad, pred);
   const double scale = pred.size() == 0 ? 0.0 : 1.0 / static_cast<double>(pred.size());
   double acc = 0.0;
   for (std::size_t i = 0; i < pred.size(); ++i) {
     const double diff = pred.data()[i] - target.data()[i];
     acc += diff * diff;
-    result.grad.data()[i] = 2.0 * diff * scale;
+    if (g != nullptr) g[i] = 2.0 * diff * scale;
   }
-  result.value = acc * scale;
-  return result;
+  return acc * scale;
 }
 
-LossResult mae_loss(const tensor::Matrix& pred, const tensor::Matrix& target) {
+double mae_loss(const tensor::Matrix& pred, const tensor::Matrix& target,
+                tensor::Matrix* grad) {
   if (!pred.same_shape(target)) {
     throw std::invalid_argument("mae_loss: shape mismatch");
   }
-  LossResult result;
-  result.grad = tensor::Matrix(pred.rows(), pred.cols());
+  double* g = gradient_buffer(grad, pred);
   const double scale = pred.size() == 0 ? 0.0 : 1.0 / static_cast<double>(pred.size());
   double acc = 0.0;
   for (std::size_t i = 0; i < pred.size(); ++i) {
     const double diff = pred.data()[i] - target.data()[i];
     acc += std::abs(diff);
-    result.grad.data()[i] = (diff > 0.0 ? 1.0 : diff < 0.0 ? -1.0 : 0.0) * scale;
+    if (g != nullptr) g[i] = (diff > 0.0 ? 1.0 : diff < 0.0 ? -1.0 : 0.0) * scale;
   }
-  result.value = acc * scale;
-  return result;
+  return acc * scale;
 }
 
-KlResult gaussian_kl(const tensor::Matrix& mu, const tensor::Matrix& logvar) {
+double gaussian_kl(const tensor::Matrix& mu, const tensor::Matrix& logvar,
+                   tensor::Matrix* grad_mu, tensor::Matrix* grad_logvar) {
   if (!mu.same_shape(logvar)) {
     throw std::invalid_argument("gaussian_kl: shape mismatch");
   }
-  KlResult result;
-  result.grad_mu = tensor::Matrix(mu.rows(), mu.cols());
-  result.grad_logvar = tensor::Matrix(mu.rows(), mu.cols());
+  double* g_mu = gradient_buffer(grad_mu, mu);
+  double* g_logvar = gradient_buffer(grad_logvar, mu);
   const double batch = mu.rows() == 0 ? 1.0 : static_cast<double>(mu.rows());
   double acc = 0.0;
   for (std::size_t i = 0; i < mu.size(); ++i) {
@@ -53,11 +63,10 @@ KlResult gaussian_kl(const tensor::Matrix& mu, const tensor::Matrix& logvar) {
     const double lv = logvar.data()[i];
     const double var = std::exp(lv);
     acc += -0.5 * (1.0 + lv - m * m - var);
-    result.grad_mu.data()[i] = m / batch;
-    result.grad_logvar.data()[i] = 0.5 * (var - 1.0) / batch;
+    if (g_mu != nullptr) g_mu[i] = m / batch;
+    if (g_logvar != nullptr) g_logvar[i] = 0.5 * (var - 1.0) / batch;
   }
-  result.value = acc / batch;
-  return result;
+  return acc / batch;
 }
 
 }  // namespace prodigy::nn

@@ -71,29 +71,30 @@ tensor::Matrix Mlp::backward(const tensor::Matrix& grad_output) {
 }
 
 void Mlp::backward_into(const tensor::Matrix& grad_output,
-                        tensor::Matrix& grad_input) {
+                        tensor::Matrix& grad_input, GradientWrite write) {
   if (layers_.empty()) {
     grad_input = grad_output;
     return;
   }
-  backward_chain(grad_output, &grad_input);
+  backward_chain(grad_output, &grad_input, write);
 }
 
-void Mlp::backward_params(const tensor::Matrix& grad_output) {
-  backward_chain(grad_output, nullptr);
+void Mlp::backward_params(const tensor::Matrix& grad_output,
+                          GradientWrite write) {
+  backward_chain(grad_output, nullptr, write);
 }
 
 void Mlp::backward_chain(const tensor::Matrix& grad_output,
-                         tensor::Matrix* grad_input) {
+                         tensor::Matrix* grad_input, GradientWrite write) {
   const tensor::Matrix* current = &grad_output;
   for (std::size_t step = 0; step < layers_.size(); ++step) {
     const std::size_t i = layers_.size() - 1 - step;
     if (i == 0 && grad_input == nullptr) {
-      layers_[0].backward_params(*current);
+      layers_[0].backward_params(*current, write);
       return;
     }
     tensor::Matrix* dst = i == 0 ? grad_input : &grad_scratch_[step % 2];
-    layers_[i].backward_into(*current, *dst);
+    layers_[i].backward_into(*current, *dst, write);
     current = dst;
   }
 }

@@ -53,14 +53,17 @@ class Mlp {
   tensor::Matrix backward(const tensor::Matrix& grad_output);
 
   /// Same, writing dL/d(input) into a caller-owned buffer that must not
-  /// alias `grad_output`.
+  /// alias `grad_output`, and every layer's parameter gradients as `write`
+  /// says.
   void backward_into(const tensor::Matrix& grad_output,
-                     tensor::Matrix& grad_input);
+                     tensor::Matrix& grad_input,
+                     GradientWrite write = GradientWrite::Accumulate);
 
-  /// Parameter-only backward: accumulates every layer's gradients exactly
-  /// as backward_into() does but never forms dL/d(input), for a network
-  /// whose input is data (nothing upstream reads that gradient).
-  void backward_params(const tensor::Matrix& grad_output);
+  /// Parameter-only backward: writes every layer's gradients exactly as
+  /// backward_into() does but never forms dL/d(input), for a network whose
+  /// input is data (nothing upstream reads that gradient).
+  void backward_params(const tensor::Matrix& grad_output,
+                       GradientWrite write = GradientWrite::Accumulate);
 
   void zero_gradients() noexcept;
 
@@ -76,7 +79,7 @@ class Mlp {
   // The backward chain; a null `grad_input` stops the first layer after its
   // parameter gradients.
   void backward_chain(const tensor::Matrix& grad_output,
-                      tensor::Matrix* grad_input);
+                      tensor::Matrix* grad_input, GradientWrite write);
 
   std::size_t input_dim_ = 0;
   std::vector<Dense> layers_;

@@ -59,19 +59,20 @@ TrainHistory fit_reconstruction(Mlp& model, const tensor::Matrix& data,
   model.register_with(optimizer);
   EarlyStopping stopper(options.early_stopping_patience);
 
+  // The step's batch, its loss gradient and the validation reconstruction,
+  // reused across steps.
+  tensor::Matrix x, grad, rec;
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     double epoch_loss = 0.0;
     std::size_t epoch_rows = 0;
     for (const auto& batch : make_batches(train.rows(), options.batch_size, rng)) {
-      const tensor::Matrix x = train.select_rows(batch);
-      model.zero_gradients();
-      const tensor::Matrix reconstruction = model.forward(x);
-      const LossResult loss = mse_loss(reconstruction, x);
-      model.backward_params(loss.grad);
+      train.select_rows_into(batch, x);
+      const double loss = mse_loss(model.forward(x), x, &grad);
+      model.backward_params(grad, GradientWrite::Overwrite);
       optimizer.step();
-      // loss.value is a per-batch mean: weight it by rows so a ragged tail
+      // The loss is a per-batch mean: weight it by rows so a ragged tail
       // batch counts for its rows, not as much as a full batch.
-      epoch_loss += loss.value * static_cast<double>(x.rows());
+      epoch_loss += loss * static_cast<double>(x.rows());
       epoch_rows += x.rows();
     }
     epoch_loss /= static_cast<double>(std::max<std::size_t>(1, epoch_rows));
@@ -79,8 +80,8 @@ TrainHistory fit_reconstruction(Mlp& model, const tensor::Matrix& data,
     ++history.epochs_run;
 
     if (val_count > 0) {
-      const tensor::Matrix rec = model.forward_inference(validation);
-      const double val_loss = mse_loss(rec, validation).value;
+      model.forward_inference_into(validation, rec);
+      const double val_loss = mse_loss(rec, validation);
       history.validation_loss.push_back(val_loss);
       if (stopper.update(val_loss)) {
         history.stopped_early = true;

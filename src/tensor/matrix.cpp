@@ -88,12 +88,23 @@ Matrix Matrix::slice_rows(std::size_t first, std::size_t count) const {
 }
 
 Matrix Matrix::select_rows(std::span<const std::size_t> indices) const {
-  Matrix out(indices.size(), cols_);
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    if (indices[i] >= rows_) throw std::out_of_range("select_rows: bad index");
-    out.set_row(i, row(indices[i]));
-  }
+  Matrix out;
+  select_rows_into(indices, out);
   return out;
+}
+
+void Matrix::select_rows_into(std::span<const std::size_t> indices,
+                              Matrix& out) const {
+  if (&out == this) {
+    throw std::invalid_argument("select_rows_into: out must not alias the source");
+  }
+  for (const std::size_t index : indices) {
+    if (index >= rows_) throw std::out_of_range("select_rows: bad index");
+  }
+  out.resize_for_overwrite(indices.size(), cols_);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    std::copy_n(data_.data() + indices[i] * cols_, cols_, out.data() + i * cols_);
+  }
 }
 
 Matrix Matrix::select_columns(std::span<const std::size_t> indices) const {

@@ -76,6 +76,11 @@ class Matrix {
   /// Returns a matrix with only the listed rows, in the given order.
   Matrix select_rows(std::span<const std::size_t> indices) const;
 
+  /// Same, gathered into `out` (reshaped with capacity reuse, so a loop that
+  /// gathers one batch per step stops allocating).  `out` must not be this
+  /// matrix (throws std::invalid_argument).
+  void select_rows_into(std::span<const std::size_t> indices, Matrix& out) const;
+
   /// Returns a matrix with only the listed columns, in the given order.
   Matrix select_columns(std::span<const std::size_t> indices) const;
 

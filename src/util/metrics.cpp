@@ -213,11 +213,31 @@ void MetricsRegistry::write_file(const std::string& path) const {
 
 void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);
-  entries_.clear();
+  for (auto& [name, entry] : entries_) {
+    switch (entry.kind) {
+      case Kind::Counter:
+        entry.counter->reset();
+        break;
+      case Kind::Gauge:
+        entry.gauge->set(0.0);
+        break;
+      case Kind::Histogram:
+        entry.histogram->reset();
+        break;
+    }
+  }
 }
 
-StageTimer::StageTimer(std::string stage, double* sink)
-    : stage_(std::move(stage)), sink_(sink) {}
+Histogram& stage_histogram(const std::string& stage) {
+  return MetricsRegistry::global().histogram(
+      "prodigy_stage_" + MetricsRegistry::sanitize_name(stage) + "_seconds");
+}
+
+StageTimer::StageTimer(const char* stage, double* sink)
+    : stage_(stage), histogram_(nullptr), sink_(sink) {}
+
+StageTimer::StageTimer(Histogram& histogram, const char* stage, double* sink)
+    : stage_(stage), histogram_(&histogram), sink_(sink) {}
 
 StageTimer::~StageTimer() { stop(); }
 
@@ -226,10 +246,9 @@ double StageTimer::stop() {
   stopped_ = true;
   recorded_ = timer_.elapsed_seconds();
   if (sink_) *sink_ = recorded_;
-  MetricsRegistry::global()
-      .histogram("prodigy_stage_" + MetricsRegistry::sanitize_name(stage_) +
-                 "_seconds")
-      .observe(recorded_);
+  Histogram& histogram =
+      histogram_ != nullptr ? *histogram_ : stage_histogram(stage_);
+  histogram.observe(recorded_);
   log_debug("trace stage=", stage_, " seconds=", recorded_);
   return recorded_;
 }

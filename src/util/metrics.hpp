@@ -27,6 +27,7 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
+  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -77,9 +78,9 @@ class Histogram {
   void observe(double value);
   HistogramSnapshot snapshot() const;
 
-  /// Drop all recorded state (count/sum/extrema and the quantile window).
-  /// Unlike MetricsRegistry::reset(), references stay valid — benchmarks use
-  /// this to isolate one pass's latency distribution from the previous one.
+  /// Drop all recorded state (count/sum/extrema and the quantile window);
+  /// references stay valid.  Benchmarks use this to isolate one pass's
+  /// latency distribution from the previous one.
   void reset();
 
   static constexpr std::size_t kDefaultCapacity = 2048;
@@ -96,11 +97,13 @@ class Histogram {
 };
 
 /// Named metric registry.  Lookup lazily creates the metric; references stay
-/// valid for the registry's lifetime.  A name is bound to exactly one metric
-/// kind -- requesting it as another kind throws std::logic_error, which also
-/// guarantees exports never emit duplicate metric names.  Names are
-/// sanitized to Prometheus form on registration ('.', '/', '-' -> '_'), so
-/// "pipeline.preprocess" and "pipeline_preprocess" address the same metric.
+/// valid for the registry's lifetime (reset() included), so hot paths
+/// resolve their metrics once and keep the reference.  A name is bound to
+/// exactly one metric kind -- requesting it as another kind throws
+/// std::logic_error, which also guarantees exports never emit duplicate
+/// metric names.  Names are sanitized to Prometheus form on registration
+/// ('.', '/', '-' -> '_'), so "pipeline.preprocess" and
+/// "pipeline_preprocess" address the same metric.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -125,8 +128,11 @@ class MetricsRegistry {
   /// Writes to_json() when `path` ends in ".json", to_prometheus() otherwise.
   void write_file(const std::string& path) const;
 
-  /// Drops every metric.  Intended for tests; references obtained earlier
-  /// dangle afterwards.
+  /// Zeroes every metric in place: counters and gauges read 0 and
+  /// histograms are empty.  Names stay registered and references obtained
+  /// earlier stay valid, so a handle resolved once (the thread pool's
+  /// counters, the ingest, DSOS, extractor, bus and scorer metrics) keeps
+  /// counting into the registry.  Intended for tests.
   void reset();
 
   static std::string sanitize_name(const std::string& name);
@@ -146,14 +152,22 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;  // sorted -> deterministic exports
 };
 
+/// The global registry histogram `prodigy_stage_<stage>_seconds` that a
+/// StageTimer for `stage` records into.  Hot paths resolve it once.
+Histogram& stage_histogram(const std::string& stage);
+
 /// RAII wall-time tracer for one pipeline stage.  On stop (or destruction)
-/// it records the elapsed seconds into the global registry histogram
-/// `prodigy_stage_<stage>_seconds`, optionally stores them into `*sink`
-/// (used for per-request latency breakdowns), and emits a structured trace
-/// line at debug log level.
+/// it records the elapsed seconds into the stage's histogram, optionally
+/// stores them into `*sink` (used for per-request latency breakdowns), and
+/// emits a structured trace line at debug log level.  `stage` must outlive
+/// the timer (every caller passes a literal).
 class StageTimer {
  public:
-  explicit StageTimer(std::string stage, double* sink = nullptr);
+  /// Looks the histogram up by name when the timer stops.
+  explicit StageTimer(const char* stage, double* sink = nullptr);
+  /// Records into `histogram`, which a hot path resolved once through
+  /// stage_histogram(stage): no registry lookup and no name build.
+  StageTimer(Histogram& histogram, const char* stage, double* sink = nullptr);
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
   ~StageTimer();
@@ -163,7 +177,8 @@ class StageTimer {
   double stop();
 
  private:
-  std::string stage_;
+  const char* stage_;
+  Histogram* histogram_;  // null: resolved by name on stop()
   double* sink_;
   Timer timer_;
   double recorded_ = 0.0;

@@ -11,8 +11,63 @@ namespace prodigy::util {
 namespace {
 // Which pool (if any) the current thread belongs to.  Lets parallel_for
 // detect re-entry from a worker of the same pool and run inline instead of
-// deadlocking on futures stuck behind blocked workers.
+// waiting on helpers queued behind blocked workers.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
+
+// Polls before the caller of parallel_for sleeps on its helpers' last
+// chunks.  Those usually end within a few microseconds of the caller's own;
+// a longer spin would hold a CPU that a helper still needs when the pool
+// fills every core.
+constexpr int kSpinPolls = 256;
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// One parallel_for call, shared by the caller and its helper tasks.  It is
+// heap-owned by every party, so a helper a worker picks up only after the
+// caller has returned still finds a valid (exhausted) cursor and leaves
+// without touching `body`.
+struct ForkJoin {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t chunk_size = 0;
+  std::size_t chunks = 0;
+  const std::function<void(std::size_t)>* body = nullptr;
+
+  std::atomic<std::size_t> next{0};      // next unclaimed chunk
+  std::atomic<std::size_t> finished{0};  // chunks run to completion
+  std::mutex mutex;
+  std::condition_variable all_finished;
+  std::exception_ptr error;  // first chunk failure; written under mutex
+
+  bool done() const noexcept {
+    return finished.load(std::memory_order_acquire) == chunks;
+  }
+
+  // Claims and runs chunks until the cursor is exhausted.
+  void run() {
+    for (;;) {
+      const std::size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= chunks) return;
+      const std::size_t lo = begin + chunk * chunk_size;
+      const std::size_t hi = std::min(end, lo + chunk_size);
+      try {
+        for (std::size_t i = lo; i < hi; ++i) (*body)(i);
+      } catch (...) {
+        std::lock_guard lock(mutex);
+        if (!error) error = std::current_exception();
+      }
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
+        std::lock_guard lock(mutex);
+        all_finished.notify_one();
+      }
+    }
+  }
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -60,9 +115,20 @@ bool ThreadPool::on_worker_thread() const noexcept {
   return tl_worker_pool == this;
 }
 
-void ThreadPool::note_submit_locked(std::size_t queue_depth) noexcept {
-  tasks_submitted_->increment();
-  queue_high_water_->update_max(static_cast<double>(queue_depth));
+void ThreadPool::post(const std::function<void()>& task, std::size_t copies) {
+  {
+    std::lock_guard lock(mutex_);
+    for (std::size_t i = 0; i < copies; ++i) queue_.push(task);
+    tasks_submitted_->increment(copies);
+    queue_high_water_->update_max(static_cast<double>(queue_.size()));
+  }
+  // Several copies wake the workers with one broadcast: a notify_one per
+  // sleeping worker costs one wake-up call each, on the caller's path.
+  if (copies == 1) {
+    cv_.notify_one();
+  } else {
+    cv_.notify_all();
+  }
 }
 
 ThreadPool& ThreadPool::global() {
@@ -75,34 +141,40 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   if (begin >= end) return;
   const std::size_t count = end - begin;
   const std::size_t workers = pool.size();
-  // Re-entry from one of this pool's own workers must run inline: blocking
-  // on chunk futures here would wedge the process once every worker sits in
-  // the same wait while the chunks queue behind them.
+  // Re-entry from one of this pool's own workers must run inline: waiting
+  // on helpers here could wedge the process once every worker sits in the
+  // same wait while the helpers queue behind them.
   if (workers <= 1 || count <= grain || pool.on_worker_thread()) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
   // Aim for a few chunks per worker so uneven iterations balance out.
-  const std::size_t chunks = std::min(count, std::max<std::size_t>(1, workers * 4));
-  const std::size_t chunk_size = std::max(grain, (count + chunks - 1) / chunks);
+  const std::size_t target = std::min(count, workers * 4);
+  const auto state = std::make_shared<ForkJoin>();
+  state->begin = begin;
+  state->end = end;
+  state->chunk_size = std::max(grain, (count + target - 1) / target);
+  state->chunks = (count + state->chunk_size - 1) / state->chunk_size;
+  state->body = &body;
 
-  std::vector<std::future<void>> futures;
-  futures.reserve((count + chunk_size - 1) / chunk_size);
-  for (std::size_t lo = begin; lo < end; lo += chunk_size) {
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    futures.push_back(pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
+  // The caller takes chunks too, so one helper fewer than chunks suffices.
+  // If queueing fails part-way, the caller runs the range without the
+  // missing helpers; it must not leave while a queued one can still claim
+  // a chunk of `body`.
+  try {
+    pool.post([state] { state->run(); }, std::min(workers, state->chunks - 1));
+  } catch (...) {
   }
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
+  state->run();
+
+  // Every chunk is claimed now; wait for the ones helpers are still running.
+  for (int poll = 0; poll < kSpinPolls && !state->done(); ++poll) cpu_relax();
+  if (!state->done()) {
+    std::unique_lock lock(state->mutex);
+    state->all_finished.wait(lock, [&] { return state->done(); });
   }
-  if (first_error) std::rethrow_exception(first_error);
+  // done()'s acquire orders every chunk's write of `error` before this read.
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

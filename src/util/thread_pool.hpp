@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -31,7 +32,7 @@ class ThreadPool {
 
   /// True when the calling thread is one of this pool's workers.  Nested
   /// parallel constructs use this to execute inline instead of blocking on
-  /// futures that can only be drained by already-blocked workers.
+  /// work that can only be drained by already-blocked workers.
   bool on_worker_thread() const noexcept;
 
   /// Enqueue an arbitrary task; the future reports completion/exceptions.
@@ -42,12 +43,7 @@ class ThreadPool {
   std::future<void> submit(Fn&& fn) {
     auto task = std::make_shared<std::packaged_task<void()>>(std::forward<Fn>(fn));
     std::future<void> result = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-      note_submit_locked(queue_.size());
-    }
-    cv_.notify_one();
+    post([task] { (*task)(); }, 1);
     return result;
   }
 
@@ -55,8 +51,14 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  friend void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+                           const std::function<void(std::size_t)>& body,
+                           std::size_t grain);
+
+  /// Queues `copies` copies of `task` under one lock, then wakes one worker
+  /// for a single copy or every idle worker for several.
+  void post(const std::function<void()>& task, std::size_t copies);
   void worker_loop();
-  void note_submit_locked(std::size_t queue_depth) noexcept;
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
@@ -71,11 +73,14 @@ class ThreadPool {
   Gauge* queue_high_water_ = nullptr;
 };
 
-/// Runs body(i) for i in [begin, end) across the pool in contiguous chunks.
-/// Blocks until all iterations finish; rethrows the first task exception.
-/// Executes inline when the range is small, the pool has one thread, or the
-/// caller is already one of the pool's workers (nested parallel_for), so
-/// nesting never deadlocks.
+/// Runs body(i) for i in [begin, end) in contiguous chunks, which the
+/// calling thread and up to pool.size() helper tasks claim from one shared
+/// cursor.  Blocks until every claimed chunk has finished, then rethrows
+/// the first exception a chunk raised.  The caller works through the range
+/// itself, so the call completes even when no worker ever picks up a
+/// helper.  Executes inline when the range is small, the pool has one
+/// thread, or the caller is already one of the pool's workers (nested
+/// parallel_for), so nesting never deadlocks.
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 1);

@@ -2,6 +2,7 @@
 
 #include "features/chi_square.hpp"
 #include "test_helpers.hpp"
+#include "util/metrics.hpp"
 
 #include <gtest/gtest.h>
 
@@ -48,6 +49,32 @@ TEST_F(ModelTrainerTest, TrainProducesWorkingBundle) {
     if (dataset_.labels[i] == 1 && predictions[i] == 1) ++hits;
   }
   EXPECT_GT(hits, 20u);  // most of the 25 anomalies flagged
+}
+
+// A streamed window is one score_full call on one row; the transform and
+// score stages and the scored-sample counter each move once per call
+// through handles resolved once, not per-window registry lookups.
+TEST_F(ModelTrainerTest, EachScoreMovesItsStageMetricsOnce) {
+  const ModelTrainer trainer(fast_config());
+  const ModelBundle bundle = trainer.train(dataset_, {0, 1, 2, 3, 4, 5}, "Eclipse");
+  auto& registry = util::MetricsRegistry::global();
+  util::Histogram& transform =
+      registry.histogram("prodigy_stage_core_model_trainer_transform_seconds");
+  util::Histogram& score =
+      registry.histogram("prodigy_stage_core_prodigy_detector_score_seconds");
+  util::Counter& samples = registry.counter("prodigy_detector_samples_scored_total");
+  const auto transform_before = transform.snapshot().count;
+  const auto score_before = score.snapshot().count;
+  const auto samples_before = samples.value();
+
+  constexpr std::size_t kScores = 25;
+  const tensor::Matrix window = dataset_.X.slice_rows(0, 1);
+  for (std::size_t i = 0; i < kScores; ++i) {
+    EXPECT_EQ(bundle.score_full(window).size(), 1u);
+  }
+  EXPECT_EQ(transform.snapshot().count - transform_before, kScores);
+  EXPECT_EQ(score.snapshot().count - score_before, kScores);
+  EXPECT_EQ(samples.value() - samples_before, kScores);
 }
 
 TEST_F(ModelTrainerTest, TrainValidatesInputs) {

@@ -44,12 +44,13 @@ TEST_P(GradCheckTest, AnalyticMatchesNumericalEverywhere) {
   const Matrix target = random_matrix(param.batch, param.output_dim, 22, 0.3);
 
   mlp.zero_gradients();
-  const LossResult loss = mse_loss(mlp.forward(x), target);
-  mlp.backward(loss.grad);
+  Matrix grad;
+  mse_loss(mlp.forward(x), target, &grad);
+  mlp.backward(grad);
 
   const double eps = 1e-6;
   auto loss_at = [&](Mlp& model) {
-    return mse_loss(model.forward_inference(x), target).value;
+    return mse_loss(model.forward_inference(x), target);
   };
   // Probe every layer: a few weights and a bias each.
   util::Rng probe_rng(33);
@@ -90,12 +91,13 @@ TEST_P(GradCheckTest, GradientsAccumulateAcrossBackwardCalls) {
   const Matrix target = random_matrix(param.batch, param.output_dim, 24, 0.3);
 
   mlp.zero_gradients();
-  const LossResult loss = mse_loss(mlp.forward(x), target);
-  mlp.backward(loss.grad);
+  Matrix grad;
+  mse_loss(mlp.forward(x), target, &grad);
+  mlp.backward(grad);
   const double once = mlp.layer(0).weight_grad()(0, 0);
   // Same pass again without zeroing -> exactly doubled.
   mlp.forward(x);
-  mlp.backward(loss.grad);
+  mlp.backward(grad);
   EXPECT_NEAR(mlp.layer(0).weight_grad()(0, 0), 2.0 * once,
               1e-9 * std::max(1.0, std::abs(once)));
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <vector>
@@ -64,43 +65,48 @@ TEST(ActivationTest, StringRoundTrip) {
 TEST(LossTest, MseValueAndGradient) {
   const Matrix pred{{1.0, 2.0}};
   const Matrix target{{0.0, 4.0}};
-  const LossResult loss = mse_loss(pred, target);
-  EXPECT_DOUBLE_EQ(loss.value, (1.0 + 4.0) / 2.0);
-  EXPECT_DOUBLE_EQ(loss.grad(0, 0), 2.0 * 1.0 / 2.0);
-  EXPECT_DOUBLE_EQ(loss.grad(0, 1), 2.0 * -2.0 / 2.0);
+  Matrix grad;
+  EXPECT_DOUBLE_EQ(mse_loss(pred, target, &grad), (1.0 + 4.0) / 2.0);
+  EXPECT_DOUBLE_EQ(grad(0, 0), 2.0 * 1.0 / 2.0);
+  EXPECT_DOUBLE_EQ(grad(0, 1), 2.0 * -2.0 / 2.0);
+  EXPECT_DOUBLE_EQ(mse_loss(pred, target), (1.0 + 4.0) / 2.0);
 }
 
 TEST(LossTest, MaeValueAndGradient) {
   const Matrix pred{{1.0, 2.0, 3.0}};
   const Matrix target{{0.0, 2.0, 5.0}};
-  const LossResult loss = mae_loss(pred, target);
-  EXPECT_DOUBLE_EQ(loss.value, (1.0 + 0.0 + 2.0) / 3.0);
-  EXPECT_DOUBLE_EQ(loss.grad(0, 0), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(loss.grad(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(loss.grad(0, 2), -1.0 / 3.0);
+  Matrix grad;
+  EXPECT_DOUBLE_EQ(mae_loss(pred, target, &grad), (1.0 + 0.0 + 2.0) / 3.0);
+  EXPECT_DOUBLE_EQ(grad(0, 0), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(grad(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(grad(0, 2), -1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(mae_loss(pred, target), (1.0 + 0.0 + 2.0) / 3.0);
 }
 
 TEST(LossTest, KlOfStandardNormalIsZero) {
   const Matrix mu(2, 3, 0.0);
   const Matrix logvar(2, 3, 0.0);
-  const KlResult kl = gaussian_kl(mu, logvar);
-  EXPECT_NEAR(kl.value, 0.0, 1e-12);
-  for (std::size_t i = 0; i < kl.grad_mu.size(); ++i) {
-    EXPECT_NEAR(kl.grad_mu.data()[i], 0.0, 1e-12);
-    EXPECT_NEAR(kl.grad_logvar.data()[i], 0.0, 1e-12);
+  Matrix grad_mu, grad_logvar;
+  EXPECT_NEAR(gaussian_kl(mu, logvar, &grad_mu, &grad_logvar), 0.0, 1e-12);
+  ASSERT_TRUE(grad_mu.same_shape(mu));
+  ASSERT_TRUE(grad_logvar.same_shape(mu));
+  for (std::size_t i = 0; i < grad_mu.size(); ++i) {
+    EXPECT_NEAR(grad_mu.data()[i], 0.0, 1e-12);
+    EXPECT_NEAR(grad_logvar.data()[i], 0.0, 1e-12);
   }
 }
 
 TEST(LossTest, KlPositiveAwayFromPrior) {
   const Matrix mu(1, 2, 2.0);
   const Matrix logvar(1, 2, 1.0);
-  EXPECT_GT(gaussian_kl(mu, logvar).value, 0.0);
+  EXPECT_GT(gaussian_kl(mu, logvar), 0.0);
 }
 
 TEST(LossTest, KlGradientMatchesNumerical) {
   Matrix mu{{0.3, -0.7}};
   Matrix logvar{{0.2, -0.4}};
-  const KlResult kl = gaussian_kl(mu, logvar);
+  Matrix grad_mu, grad_logvar;
+  gaussian_kl(mu, logvar, &grad_mu, &grad_logvar);
   const double eps = 1e-6;
   for (std::size_t i = 0; i < mu.size(); ++i) {
     Matrix mu_p = mu;
@@ -108,16 +114,16 @@ TEST(LossTest, KlGradientMatchesNumerical) {
     Matrix mu_m = mu;
     mu_m.data()[i] -= eps;
     const double numeric =
-        (gaussian_kl(mu_p, logvar).value - gaussian_kl(mu_m, logvar).value) / (2 * eps);
-    EXPECT_NEAR(kl.grad_mu.data()[i], numeric, 1e-5);
+        (gaussian_kl(mu_p, logvar) - gaussian_kl(mu_m, logvar)) / (2 * eps);
+    EXPECT_NEAR(grad_mu.data()[i], numeric, 1e-5);
 
     Matrix lv_p = logvar;
     lv_p.data()[i] += eps;
     Matrix lv_m = logvar;
     lv_m.data()[i] -= eps;
     const double numeric_lv =
-        (gaussian_kl(mu, lv_p).value - gaussian_kl(mu, lv_m).value) / (2 * eps);
-    EXPECT_NEAR(kl.grad_logvar.data()[i], numeric_lv, 1e-5);
+        (gaussian_kl(mu, lv_p) - gaussian_kl(mu, lv_m)) / (2 * eps);
+    EXPECT_NEAR(grad_logvar.data()[i], numeric_lv, 1e-5);
   }
 }
 
@@ -139,12 +145,13 @@ TEST(DenseTest, NumericalGradientCheck) {
 
   layer.zero_gradients();
   const Matrix out = layer.forward(x);
-  const LossResult loss = mse_loss(out, target);
-  layer.backward(loss.grad);
+  Matrix grad;
+  mse_loss(out, target, &grad);
+  layer.backward(grad);
 
   const double eps = 1e-6;
   auto loss_at = [&](Dense& l) {
-    return mse_loss(l.forward_inference(x), target).value;
+    return mse_loss(l.forward_inference(x), target);
   };
   // Check a handful of weight gradients numerically.
   for (const auto& [r, c] :
@@ -172,8 +179,9 @@ TEST(DenseTest, InputGradientCheck) {
   const Matrix target(1, 2, 0.2);
 
   layer.zero_gradients();
-  const LossResult loss = mse_loss(layer.forward(x), target);
-  const Matrix grad_in = layer.backward(loss.grad);
+  Matrix grad;
+  mse_loss(layer.forward(x), target, &grad);
+  const Matrix grad_in = layer.backward(grad);
 
   const double eps = 1e-6;
   for (std::size_t c = 0; c < 2; ++c) {
@@ -181,8 +189,8 @@ TEST(DenseTest, InputGradientCheck) {
     xp(0, c) += eps;
     Matrix xm = x;
     xm(0, c) -= eps;
-    const double numeric = (mse_loss(layer.forward_inference(xp), target).value -
-                            mse_loss(layer.forward_inference(xm), target).value) /
+    const double numeric = (mse_loss(layer.forward_inference(xp), target) -
+                            mse_loss(layer.forward_inference(xm), target)) /
                            (2 * eps);
     EXPECT_NEAR(grad_in(0, c), numeric, 1e-5);
   }
@@ -229,12 +237,13 @@ TEST(MlpTest, EndToEndGradientCheck) {
   const Matrix target(2, 3, 0.25);
 
   mlp.zero_gradients();
-  const LossResult loss = mse_loss(mlp.forward(x), target);
-  mlp.backward(loss.grad);
+  Matrix grad;
+  mse_loss(mlp.forward(x), target, &grad);
+  mlp.backward(grad);
 
   const double eps = 1e-6;
   Mlp probe = mlp;
-  auto loss_at = [&] { return mse_loss(probe.forward_inference(x), target).value; };
+  auto loss_at = [&] { return mse_loss(probe.forward_inference(x), target); };
   // Check first-layer and last-layer weights.
   for (std::size_t layer_id : {std::size_t{0}, std::size_t{1}}) {
     probe = mlp;
@@ -248,41 +257,62 @@ TEST(MlpTest, EndToEndGradientCheck) {
 }
 
 TEST(MlpTest, ParamOnlyBackwardTrainsBitIdentically) {
-  // Two copies of one network take the same Adam steps on the same batches,
-  // one through the full backward (whose input gradient is discarded) and
-  // one through the parameter-only backward; every weight must agree.
+  // Copies of one network take the same Adam steps on the same batches:
+  // one through the full backward (whose input gradient is discarded), one
+  // through the parameter-only backward, and one that never zeroes its
+  // gradients (they start as garbage) and overwrites them instead.  Every
+  // weight must agree.
   util::Rng rng(17);
   const Mlp initial(6, {{9, Activation::ReLU}, {4, Activation::Tanh},
                         {6, Activation::Linear}}, rng);
   Mlp full = initial;
   Mlp params_only = initial;
+  Mlp overwrite = initial;
   Adam full_opt(1e-2);
   Adam params_opt(1e-2);
+  Adam overwrite_opt(1e-2);
   full.register_with(full_opt);
   params_only.register_with(params_opt);
+  overwrite.register_with(overwrite_opt);
+  for (std::size_t l = 0; l < overwrite.layer_count(); ++l) {
+    Matrix& weight_grad = overwrite.layer(l).weight_grad();
+    std::fill(weight_grad.data(), weight_grad.data() + weight_grad.size(), 123.0);
+    for (double& g : overwrite.layer(l).bias_grad()) g = -7.0;
+  }
 
   for (std::size_t step = 0; step < 8; ++step) {
     Matrix x(5 + step % 3, 6);
     for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.gaussian();
 
     full.zero_gradients();
-    const LossResult full_loss = mse_loss(full.forward(x), x);
-    full.backward(full_loss.grad);
+    Matrix full_grad;
+    mse_loss(full.forward(x), x, &full_grad);
+    full.backward(full_grad);
     full_opt.step();
 
     params_only.zero_gradients();
-    const LossResult params_loss = mse_loss(params_only.forward(x), x);
-    params_only.backward_params(params_loss.grad);
+    Matrix params_grad;
+    mse_loss(params_only.forward(x), x, &params_grad);
+    params_only.backward_params(params_grad);
     params_opt.step();
+
+    Matrix overwrite_grad;
+    mse_loss(overwrite.forward(x), x, &overwrite_grad);
+    overwrite.backward_params(overwrite_grad, GradientWrite::Overwrite);
+    overwrite_opt.step();
   }
   for (std::size_t l = 0; l < full.layer_count(); ++l) {
     const auto& w_full = full.layer(l).weights();
     const auto& w_params = params_only.layer(l).weights();
+    const auto& w_overwrite = overwrite.layer(l).weights();
     for (std::size_t i = 0; i < w_full.size(); ++i) {
       EXPECT_EQ(w_full.data()[i], w_params.data()[i]) << "layer " << l;
+      EXPECT_EQ(w_full.data()[i], w_overwrite.data()[i]) << "layer " << l;
     }
     for (std::size_t j = 0; j < full.layer(l).bias().size(); ++j) {
       EXPECT_EQ(full.layer(l).bias()[j], params_only.layer(l).bias()[j])
+          << "layer " << l;
+      EXPECT_EQ(full.layer(l).bias()[j], overwrite.layer(l).bias()[j])
           << "layer " << l;
     }
   }
@@ -609,7 +639,7 @@ TEST(TrainerTest, EpochLossIsRowWeightedAcrossRaggedBatches) {
   double unweighted = 0.0;
   for (const auto& batch : batches) {
     const Matrix x = train.select_rows(batch);
-    const double loss = mse_loss(initial.forward_inference(x), x).value;
+    const double loss = mse_loss(initial.forward_inference(x), x);
     weighted += loss * static_cast<double>(x.rows());
     unweighted += loss;
   }

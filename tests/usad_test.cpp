@@ -125,7 +125,7 @@ TEST(UsadTest, EpochLossIsRowWeightedAcrossRaggedBatches) {
     const tensor::Matrix x = X.select_rows(batch);
     const tensor::Matrix w1 =
         decoder1.forward_inference(encoder.forward_inference(x));
-    const double loss = nn::mse_loss(w1, x).value;
+    const double loss = nn::mse_loss(w1, x);
     weighted += loss * static_cast<double>(x.rows());
     unweighted += loss;
   }

@@ -296,6 +296,34 @@ TEST(MetricsTest, ResetClearsEverything) {
   EXPECT_EQ(registry.counter("events_total").value(), 0u);
 }
 
+// Hot paths resolve their metrics once (the thread pool, ingest, DSOS,
+// extractor, bus and scorer handles), so a reset must zero metrics in place
+// rather than free them under those references.
+TEST(MetricsTest, ResetKeepsEarlierReferencesValid) {
+  MetricsRegistry registry;
+  Counter& counter = registry.counter("events_total");
+  Gauge& gauge = registry.gauge("queue_depth");
+  Histogram& histogram = registry.histogram("latency_seconds");
+  counter.increment(5);
+  gauge.set(3.0);
+  histogram.observe(0.25);
+
+  registry.reset();
+  EXPECT_EQ(counter.value(), 0u);
+  EXPECT_EQ(gauge.value(), 0.0);
+  EXPECT_EQ(histogram.snapshot().count, 0u);
+
+  counter.increment(2);
+  gauge.set(4.0);
+  histogram.observe(0.5);
+  EXPECT_EQ(&registry.counter("events_total"), &counter);
+  EXPECT_EQ(registry.counter("events_total").value(), 2u);
+  EXPECT_EQ(registry.gauge("queue_depth").value(), 4.0);
+  const HistogramSnapshot snap = registry.histogram("latency_seconds").snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.max, 0.5);
+}
+
 TEST(StageTimerTest, RecordsIntoGlobalRegistryAndSink) {
   auto& histogram = MetricsRegistry::global().histogram(
       "prodigy_stage_test_stage_tracer_seconds");
@@ -305,6 +333,20 @@ TEST(StageTimerTest, RecordsIntoGlobalRegistryAndSink) {
     StageTimer timer("test.stage.tracer", &sink);
   }
   EXPECT_EQ(histogram.snapshot().count, before + 1);
+  EXPECT_GE(sink, 0.0);
+}
+
+TEST(StageTimerTest, ResolvedHistogramRecordsLikeTheNamedStage) {
+  Histogram& histogram = stage_histogram("test.stage.resolved");
+  EXPECT_EQ(&histogram, &MetricsRegistry::global().histogram(
+                            "prodigy_stage_test_stage_resolved_seconds"));
+  const auto before = histogram.snapshot().count;
+  double sink = -1.0;
+  {
+    StageTimer timer(histogram, "test.stage.resolved", &sink);
+  }
+  { StageTimer timer("test.stage.resolved"); }
+  EXPECT_EQ(histogram.snapshot().count, before + 2);
   EXPECT_GE(sink, 0.0);
 }
 

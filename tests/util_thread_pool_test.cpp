@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace prodigy::util {
@@ -117,6 +121,138 @@ TEST(ParallelForTest, NestedGlobalPoolOverloadCompletes) {
     parallel_for(0, 32, [&](std::size_t) { ++count; });
   });
   EXPECT_EQ(count.load(), 4 * 32);
+}
+
+// Chunks are sized ceil(count / (4 * workers)) (at least the grain), so
+// these counts land just below, on and just above chunk boundaries for each
+// pool size, including ranges that fit in one chunk plus one index.
+TEST(ParallelForTest, EveryIndexOnceAcrossPoolSizesAndChunkBoundaries) {
+  for (const std::size_t threads : {1, 2, 4, 7}) {
+    ThreadPool pool(threads);
+    for (const std::size_t count : {2, 3, 7, 8, 9, 15, 16, 17, 27, 28, 29, 63,
+                                    64, 65, 255, 256, 257, 1001}) {
+      for (const std::size_t grain : {1, 3, 8}) {
+        const std::size_t begin = 5;
+        std::vector<std::atomic<int>> hits(count);
+        parallel_for(pool, begin, begin + count,
+                     [&](std::size_t i) { ++hits[i - begin]; }, grain);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << "threads " << threads << " count "
+                                       << count << " grain " << grain
+                                       << " index " << i;
+        }
+      }
+    }
+  }
+}
+
+// Runs 64 slow indices on a 4-worker pool with `throws` deciding which ones
+// throw, and checks the exception arrives only after every started index
+// has finished (a body that returned early would leave started > finished).
+void expect_rethrow_after_claimed_chunks(
+    const std::function<bool(ThreadPool&, std::size_t)>& throws) {
+  ThreadPool pool(4);
+  std::atomic<int> started{0}, finished{0};
+  bool caught = false;
+  try {
+    parallel_for(pool, 0, 64, [&](std::size_t i) {
+      ++started;
+      struct Finish {
+        std::atomic<int>& finished;
+        ~Finish() { ++finished; }
+      } finish{finished};
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      if (throws(pool, i)) throw std::runtime_error("chunk failed");
+    });
+  } catch (const std::runtime_error&) {
+    caught = true;
+    EXPECT_EQ(started.load(), finished.load());
+  }
+  EXPECT_TRUE(caught);
+}
+
+// Holds a caller-run index until a helper has claimed a chunk (5 s at most),
+// so the caller cannot finish the whole range alone.
+void wait_for_helper(const std::atomic<bool>& helper_ran) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!helper_ran.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(ParallelForTest, CallerChunkExceptionWaitsForHelpers) {
+  std::atomic<bool> helper_ran{false};
+  expect_rethrow_after_claimed_chunks([&](ThreadPool& pool, std::size_t) {
+    if (pool.on_worker_thread()) {
+      helper_ran = true;
+      return false;
+    }
+    wait_for_helper(helper_ran);
+    return true;
+  });
+  EXPECT_TRUE(helper_ran.load());
+}
+
+TEST(ParallelForTest, HelperChunkExceptionReachesCaller) {
+  std::atomic<bool> helper_ran{false};
+  expect_rethrow_after_claimed_chunks([&](ThreadPool& pool, std::size_t) {
+    if (pool.on_worker_thread()) {
+      helper_ran = true;
+      return true;
+    }
+    wait_for_helper(helper_ran);
+    return false;
+  });
+  EXPECT_TRUE(helper_ran.load());
+}
+
+TEST(ParallelForTest, ConcurrentCallersFromNonWorkerThreads) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCount = 2000;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kCount);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        parallel_for(pool, 0, kCount, [&](std::size_t i) { ++hits[c][i]; });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const auto& h : hits) {
+    for (const auto& v : h) ASSERT_EQ(v.load(), 20);
+  }
+}
+
+// The caller claims chunks from the same cursor as its helpers, so a range
+// completes even when no worker is free to run a helper.  With every worker
+// parked, a caller that only waited on queued chunk tasks would hang (and
+// this binary's TIMEOUT would fail the test).
+TEST(ParallelForTest, CompletesWhileEveryWorkerIsParked) {
+  ThreadPool pool(3);
+  std::latch parked(3);
+  std::latch release(1);
+  std::vector<std::future<void>> blockers;
+  for (int w = 0; w < 3; ++w) {
+    blockers.push_back(pool.submit([&] {
+      parked.count_down();
+      release.wait();
+    }));
+  }
+  parked.wait();
+
+  std::vector<std::atomic<int>> hits(500);
+  parallel_for(pool, 0, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  release.count_down();
+  for (auto& b : blockers) b.get();
+  // The stale helpers drain harmlessly and the pool keeps working.
+  std::atomic<int> count{0};
+  parallel_for(pool, 0, 100, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPoolTest, OnWorkerThreadDetection) {

@@ -254,8 +254,8 @@ TEST(VaeTest, EpochLossIsRowWeightedAcrossRaggedBatches) {
     }
     const tensor::Matrix recon = vae.decoder().forward_inference(z);
     const double batch_loss =
-        nn::mse_loss(recon, x).value +
-        vae.config().kl_weight * nn::gaussian_kl(mu, logvar).value;
+        nn::mse_loss(recon, x) +
+        vae.config().kl_weight * nn::gaussian_kl(mu, logvar);
     weighted += batch_loss * static_cast<double>(x.rows());
     unweighted += batch_loss;
     total_rows += x.rows();
