@@ -1,7 +1,8 @@
 // Micro-benchmarks for the substrate kernels that determine whether the
 // deployment's offline training and online scoring budgets (paper §4, §6.2)
 // are attainable: GEMM, FFT, single feature extractors, chi-square scoring,
-// VAE training epochs, parallel_for dispatch, and the baselines' fit costs.
+// VAE training epochs, parallel_for dispatch, the baselines' fit costs, and
+// telemetry synthesis.
 #include "bench_common.hpp"
 
 #include "baselines/isolation_forest.hpp"
@@ -11,6 +12,7 @@
 #include "features/fft.hpp"
 #include "features/registry.hpp"
 #include "nn/trainer.hpp"
+#include "telemetry/generator.hpp"
 #include "telemetry/metrics.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -376,21 +378,30 @@ void BM_LofFit(benchmark::State& state) {
 }
 BENCHMARK(BM_LofFit)->Arg(512)->Unit(benchmark::kMillisecond);
 
-void BM_TelemetryGeneration(benchmark::State& state) {
+// One 300-s LAMMPS run of 1, 4 or 32 nodes through telemetry::generate_run,
+// which synthesizes the nodes concurrently on the global pool.  A sample is
+// one node's reading of the whole metric catalog at one second.
+void BM_GenerateRun(benchmark::State& state) {
   telemetry::RunConfig config;
-  config.app = telemetry::application_by_name("HACC");
-  config.duration_s = static_cast<double>(state.range(0));
-  config.num_nodes = 4;
+  config.app = telemetry::application_by_name("LAMMPS");
+  config.duration_s = 300.0;
+  config.num_nodes = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(telemetry::generate_run(config));
     ++config.seed;
   }
-  state.counters["datapoints_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * config.duration_s * 4.0 *
-          static_cast<double>(telemetry::metric_count()),
+  state.counters["samples_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * config.duration_s *
+          static_cast<double>(config.num_nodes),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TelemetryGeneration)->Arg(300)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GenerateRun)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(32)
+    ->ArgNames({"nodes"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -1,10 +1,12 @@
 #include "telemetry/generator.hpp"
 
 #include "telemetry/metrics.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace prodigy::telemetry {
 
@@ -64,21 +66,58 @@ void apply_baseline_drift(double drift, double progress, ResourceState& state) {
 
 }  // namespace
 
+std::vector<NodeSeries> synthesize_nodes(
+    std::size_t num_nodes, util::Rng& job_rng,
+    const std::function<NodeSeries(std::size_t node, util::Rng& rng)>& synthesize) {
+  std::vector<util::Rng> streams;
+  streams.reserve(num_nodes);
+  for (std::size_t node = 0; node < num_nodes; ++node) streams.push_back(job_rng.fork());
+  std::vector<NodeSeries> nodes(num_nodes);
+  util::parallel_for(0, num_nodes, [&](std::size_t node) {
+    // Each task draws from its own copy: neighbouring streams share a cache
+    // line, and drawing in place would bounce it between the workers.
+    util::Rng rng = streams[node];
+    nodes[node] = synthesize(node, rng);
+  });
+  return nodes;
+}
+
+void check_run_shape(const char* fn, std::size_t num_nodes, double duration_s,
+                     double dropout, const std::vector<std::size_t>& anomalous_nodes) {
+  const auto reject = [fn](const std::string& why) {
+    throw std::invalid_argument(std::string(fn) + ": " + why);
+  };
+  if (num_nodes < 1) reject("num_nodes must be at least 1");
+  if (!std::isfinite(duration_s) || duration_s < 1.0) {
+    reject("duration_s must be finite and at least 1, got " + std::to_string(duration_s));
+  }
+  if (!(dropout >= 0.0 && dropout <= 1.0)) {
+    reject("dropout must lie in [0, 1], got " + std::to_string(dropout));
+  }
+  for (const std::size_t node : anomalous_nodes) {
+    if (node >= num_nodes) {
+      reject("anomalous_nodes holds " + std::to_string(node) + ", past num_nodes " +
+             std::to_string(num_nodes));
+    }
+  }
+}
+
 JobTelemetry generate_run(const RunConfig& config) {
+  check_run_shape("generate_run", config.num_nodes, config.duration_s, config.dropout,
+                  config.anomalous_nodes);
   const auto& catalog = metric_catalog();
-  const auto timestamps = static_cast<std::size_t>(std::max(1.0, config.duration_s));
+  const auto timestamps = static_cast<std::size_t>(config.duration_s);
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
   JobTelemetry job;
   job.job_id = config.job_id;
   job.app = config.app.name;
-  job.nodes.reserve(config.num_nodes);
 
   util::Rng job_rng(config.seed ^ static_cast<std::uint64_t>(config.job_id) * 0x9e37ULL);
   const RunVariation run_variation = sample_run_variation(job_rng);
 
-  for (std::size_t node = 0; node < config.num_nodes; ++node) {
-    util::Rng rng = job_rng.fork();
+  job.nodes = synthesize_nodes(config.num_nodes, job_rng, [&](std::size_t node,
+                                                              util::Rng& rng) {
     NodeSeries series;
     series.job_id = config.job_id;
     series.component_id = config.first_component_id + static_cast<std::int64_t>(node);
@@ -138,8 +177,8 @@ JobTelemetry generate_run(const RunConfig& config) {
             rng.bernoulli(config.dropout) ? kNaN : reported;
       }
     }
-    job.nodes.push_back(std::move(series));
-  }
+    return series;
+  });
   return job;
 }
 

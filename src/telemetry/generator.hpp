@@ -10,6 +10,7 @@
 #include "tensor/matrix.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,7 +66,25 @@ struct RunConfig {
   double anomaly_start_frac = 0.0;
 };
 
-/// Generates the full job telemetry for one run.
+/// Generates the full job telemetry for one run.  Throws
+/// std::invalid_argument, naming the field, when the config asks for no
+/// node, a duration that is not finite or below 1 s, a dropout outside
+/// [0, 1], or an anomalous node index past num_nodes.
 JobTelemetry generate_run(const RunConfig& config);
+
+/// The node loop generate_run and gpu::generate_gpu_run share.  Forks one
+/// stream per node from `job_rng` in node order before any node runs, then
+/// runs synthesize(node, stream) for every node in one util::parallel_for
+/// on the global pool, each task writing only its own slot.  A node's
+/// bytes depend on its stream alone, so the result is the same at any pool
+/// size; called from a pool worker, the nodes run inline.
+std::vector<NodeSeries> synthesize_nodes(
+    std::size_t num_nodes, util::Rng& job_rng,
+    const std::function<NodeSeries(std::size_t node, util::Rng& rng)>& synthesize);
+
+/// The config check both generators make before allocating; `fn` prefixes
+/// the std::invalid_argument message.
+void check_run_shape(const char* fn, std::size_t num_nodes, double duration_s,
+                     double dropout, const std::vector<std::size_t>& anomalous_nodes);
 
 }  // namespace prodigy::telemetry

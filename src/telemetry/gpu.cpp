@@ -195,7 +195,9 @@ std::vector<MetricKind> heterogeneous_metric_kinds() {
 }
 
 JobTelemetry generate_gpu_run(const GpuRunConfig& config) {
-  const auto timestamps = static_cast<std::size_t>(std::max(1.0, config.duration_s));
+  check_run_shape("generate_gpu_run", config.num_nodes, config.duration_s,
+                  config.dropout, config.anomalous_nodes);
+  const auto timestamps = static_cast<std::size_t>(config.duration_s);
   const std::size_t cpu_cols = metric_count();
   const std::size_t gpu_cols = gpu_metric_count();
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -203,15 +205,14 @@ JobTelemetry generate_gpu_run(const GpuRunConfig& config) {
   JobTelemetry job;
   job.job_id = config.job_id;
   job.app = config.app.name;
-  job.nodes.reserve(config.num_nodes);
 
   util::Rng job_rng(config.seed ^ static_cast<std::uint64_t>(config.job_id) * 0x9e37ULL);
   const RunVariation run_variation = sample_run_variation(job_rng);
   const auto& gpu_catalog = gpu_metric_catalog();
   const auto& cpu_catalog = metric_catalog();
 
-  for (std::size_t node = 0; node < config.num_nodes; ++node) {
-    util::Rng rng = job_rng.fork();
+  job.nodes = synthesize_nodes(config.num_nodes, job_rng, [&](std::size_t node,
+                                                              util::Rng& rng) {
     const bool anomalous =
         config.anomaly != GpuAnomalyKind::None &&
         (config.anomalous_nodes.empty() ||
@@ -272,8 +273,8 @@ JobTelemetry generate_gpu_run(const GpuRunConfig& config) {
         emit(cpu_cols + m, gpu_rates[m], gpu_catalog[m].kind);
       }
     }
-    job.nodes.push_back(std::move(series));
-  }
+    return series;
+  });
   return job;
 }
 

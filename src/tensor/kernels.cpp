@@ -34,6 +34,9 @@ constexpr std::size_t kNr = 16;
 // Column-panel width for cache blocking: a k x kNc B panel stays L2
 // resident while a block's row tiles stream across it.
 constexpr std::size_t kNc = 512;
+// k-values an NT pack gathers per pass over a tile's columns: the pass
+// writes kPackRun x kNr doubles (4 KB), which stay L1 resident.
+constexpr std::size_t kPackRun = 32;
 // Flop threshold (m*n*k) above which the 2-D block fan-out is worth the
 // thread-pool dispatch.  Matches the historical ops.cpp threshold.
 constexpr std::size_t kParallelFlops = std::size_t{1} << 20;
@@ -316,10 +319,15 @@ void gemm(Layout layout, std::size_t m, std::size_t n, std::size_t k,
           const std::size_t j0 = t * kNr;
           const std::size_t nr = std::min(kNr, n - j0);
           double* dst = pb + (t - t0) * k * kNr;
-          // Gather: packed(kk, jj) = B[(j0+jj)][kk].
-          for (std::size_t jj = 0; jj < nr; ++jj) {
-            const double* bcol = b + (j0 + jj) * ldb;
-            for (std::size_t kk = 0; kk < k; ++kk) dst[kk * kNr + jj] = bcol[kk];
+          // Gather: packed(kk, jj) = B[(j0+jj)][kk], in runs of kPackRun
+          // k-values, so one run's strided writes stay in L1 across all nr
+          // columns instead of sweeping the whole k x kNr panel per column.
+          for (std::size_t k0 = 0; k0 < k; k0 += kPackRun) {
+            const std::size_t k1 = std::min(k, k0 + kPackRun);
+            for (std::size_t jj = 0; jj < nr; ++jj) {
+              const double* bcol = b + (j0 + jj) * ldb;
+              for (std::size_t kk = k0; kk < k1; ++kk) dst[kk * kNr + jj] = bcol[kk];
+            }
           }
         }
         panel = pb;

@@ -5,11 +5,16 @@
 #include "features/chi_square.hpp"
 #include "pipeline/data_pipeline.hpp"
 #include "tensor/stats.hpp"
+#include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace prodigy::telemetry::gpu {
 namespace {
@@ -141,6 +146,78 @@ TEST(GpuRunTest, ThermalThrottleDropsClocksRaisesTemp) {
             tensor::mean(healthy.nodes[0].values.column(clock_idx)) * 0.9);
   EXPECT_GT(tensor::mean(throttled.nodes[0].values.column(temp_idx)),
             tensor::mean(healthy.nodes[0].values.column(temp_idx)) + 10.0);
+}
+
+// A main-thread call fans its nodes out over the global pool; the same call
+// made inside a pool task runs them inline.  Both must give the same job.
+TEST(GpuRunTest, ConcurrentNodesMatchInlineGeneration) {
+  GpuRunConfig healthy;
+  healthy.app = gpu_application_by_name("LAMMPS-GPU");
+  healthy.duration_s = 96;
+  healthy.seed = 11;
+  GpuRunConfig leaking = healthy;
+  leaking.anomaly = GpuAnomalyKind::GpuMemleak;
+  GpuRunConfig throttled = healthy;
+  throttled.app = gpu_application_by_name("HACC-GPU");
+  throttled.anomaly = GpuAnomalyKind::ThermalThrottle;
+
+  for (const std::size_t nodes : {1u, 3u, 8u}) {
+    leaking.anomalous_nodes.clear();
+    for (std::size_t n = 0; n < nodes; n += 2) leaking.anomalous_nodes.push_back(n);
+    for (GpuRunConfig config : {healthy, leaking, throttled}) {
+      config.num_nodes = nodes;
+      SCOPED_TRACE(config.app.name + " " + to_string(config.anomaly) + " over " +
+                   std::to_string(nodes) + " nodes");
+      const JobTelemetry fanned = generate_gpu_run(config);
+      JobTelemetry inline_job;
+      util::ThreadPool::global()
+          .submit([&] { inline_job = generate_gpu_run(config); })
+          .get();
+      ASSERT_EQ(fanned.nodes.size(), nodes);
+      prodigy::testing::expect_same_job(fanned, inline_job);
+    }
+  }
+}
+
+// generate_gpu_run refuses a config it cannot generate, naming the field.
+void expect_rejected(const GpuRunConfig& config, const std::string& field) {
+  try {
+    generate_gpu_run(config);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos) << error.what();
+  }
+}
+
+TEST(GpuRunTest, RejectsZeroNodes) {
+  GpuRunConfig config;
+  config.num_nodes = 0;
+  expect_rejected(config, "num_nodes");
+}
+
+TEST(GpuRunTest, RejectsDurationBelowOneSecondOrNotFinite) {
+  GpuRunConfig config;
+  for (const double duration : {-5.0, 0.0, 0.5, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    config.duration_s = duration;
+    expect_rejected(config, "duration_s");
+  }
+}
+
+TEST(GpuRunTest, RejectsDropoutOutsideUnitInterval) {
+  GpuRunConfig config;
+  for (const double dropout : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    config.dropout = dropout;
+    expect_rejected(config, "dropout");
+  }
+}
+
+TEST(GpuRunTest, RejectsAnomalousNodePastNumNodes) {
+  GpuRunConfig config;
+  config.num_nodes = 2;
+  config.anomaly = GpuAnomalyKind::GpuMemleak;
+  config.anomalous_nodes = {1, 2};
+  expect_rejected(config, "anomalous_nodes");
 }
 
 TEST(GpuPipelineTest, EndToEndJointModelDetectsGpuMemleak) {

@@ -2,11 +2,16 @@
 #include "telemetry/dataset_builder.hpp"
 #include "telemetry/generator.hpp"
 #include "telemetry/metrics.hpp"
+#include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace prodigy::telemetry {
 namespace {
@@ -207,6 +212,78 @@ TEST(GeneratorTest, OrganicIoDegradationLabelsNodes) {
     EXPECT_EQ(node.label, 1);
     EXPECT_EQ(node.anomaly, "io_degradation");
   }
+}
+
+// A main-thread call fans its nodes out over the global pool; the same call
+// made inside a pool task runs them inline.  Both must give the same job.
+TEST(GeneratorTest, ConcurrentNodesMatchInlineGeneration) {
+  RunConfig healthy;
+  healthy.app = application_by_name("LAMMPS");
+  healthy.duration_s = 96;
+  healthy.seed = 11;
+  RunConfig drifting = healthy;
+  drifting.anomaly = hpas::table2_configurations().front();
+  drifting.anomaly_start_frac = 0.4;
+  drifting.baseline_drift = 0.3;
+  RunConfig organic = healthy;
+  organic.app = empire_application();
+  organic.io_degradation = 0.6;
+
+  for (const std::size_t nodes : {1u, 3u, 8u}) {
+    drifting.anomalous_nodes.clear();
+    for (std::size_t n = 0; n < nodes; n += 2) drifting.anomalous_nodes.push_back(n);
+    for (RunConfig config : {healthy, drifting, organic}) {
+      config.num_nodes = nodes;
+      SCOPED_TRACE(config.app.name + " " + to_string(config.anomaly.kind) + " over " +
+                   std::to_string(nodes) + " nodes");
+      const JobTelemetry fanned = generate_run(config);
+      JobTelemetry inline_job;
+      util::ThreadPool::global().submit([&] { inline_job = generate_run(config); }).get();
+      ASSERT_EQ(fanned.nodes.size(), nodes);
+      prodigy::testing::expect_same_job(fanned, inline_job);
+    }
+  }
+}
+
+// generate_run refuses a config it cannot generate, naming the field.
+void expect_rejected(const RunConfig& config, const std::string& field) {
+  try {
+    generate_run(config);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos) << error.what();
+  }
+}
+
+TEST(GeneratorTest, RejectsZeroNodes) {
+  RunConfig config;
+  config.num_nodes = 0;
+  expect_rejected(config, "num_nodes");
+}
+
+TEST(GeneratorTest, RejectsDurationBelowOneSecondOrNotFinite) {
+  RunConfig config;
+  for (const double duration : {-5.0, 0.0, 0.5, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    config.duration_s = duration;
+    expect_rejected(config, "duration_s");
+  }
+}
+
+TEST(GeneratorTest, RejectsDropoutOutsideUnitInterval) {
+  RunConfig config;
+  for (const double dropout : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    config.dropout = dropout;
+    expect_rejected(config, "dropout");
+  }
+}
+
+TEST(GeneratorTest, RejectsAnomalousNodePastNumNodes) {
+  RunConfig config;
+  config.num_nodes = 2;
+  config.anomaly = hpas::table2_configurations().front();
+  config.anomalous_nodes = {1, 2};
+  expect_rejected(config, "anomalous_nodes");
 }
 
 TEST(DatasetBuilderTest, SystemsMatchPaper) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include "features/feature_matrix.hpp"
+#include "telemetry/generator.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -24,6 +25,24 @@ inline ::testing::AssertionResult bitwise_equal(const tensor::Matrix& a,
     return ::testing::AssertionFailure() << "element bits differ";
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Two generated jobs are the same: ids, labels and anomaly names equal,
+/// and every node's values bitwise_equal (dropout NaNs included).
+inline void expect_same_job(const telemetry::JobTelemetry& a,
+                            const telemetry::JobTelemetry& b) {
+  EXPECT_EQ(a.job_id, b.job_id);
+  EXPECT_EQ(a.app, b.app);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (std::size_t n = 0; n < a.nodes.size(); ++n) {
+    EXPECT_EQ(a.nodes[n].job_id, b.nodes[n].job_id);
+    EXPECT_EQ(a.nodes[n].component_id, b.nodes[n].component_id);
+    EXPECT_EQ(a.nodes[n].app, b.nodes[n].app);
+    EXPECT_EQ(a.nodes[n].label, b.nodes[n].label);
+    EXPECT_EQ(a.nodes[n].anomaly, b.nodes[n].anomaly);
+    EXPECT_TRUE(bitwise_equal(a.nodes[n].values, b.nodes[n].values))
+        << "node " << n << " of " << a.nodes.size();
+  }
 }
 
 /// Gaussian blob dataset: healthy points around the origin, anomalies offset

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -37,7 +38,7 @@ double percentile(std::vector<double> sorted, double q) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace prodigy;
   const tools::Flags flags(argc, argv);
   if (!flags.has("store") || !flags.has("model") ||
@@ -154,4 +155,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "metrics -> %s\n", metrics_out.c_str());
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "prodigy_predict: %s\n", error.what());
+  return 1;
 }

@@ -15,25 +15,9 @@
 #include "util/metrics.hpp"
 
 #include <cstdio>
+#include <exception>
 
-namespace {
-
-std::vector<std::size_t> parse_node_list(const std::string& csv) {
-  std::vector<std::size_t> nodes;
-  std::size_t start = 0;
-  while (start < csv.size()) {
-    const auto comma = csv.find(',', start);
-    const auto token = csv.substr(start, comma - start);
-    if (!token.empty()) nodes.push_back(std::stoul(token));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return nodes;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace prodigy;
   const tools::Flags flags(argc, argv);
   if (!flags.has("out")) {
@@ -43,6 +27,8 @@ int main(int argc, char** argv) {
   const std::string metrics_out = flags.get("metrics-out", std::string());
   const std::size_t jobs = flags.count("jobs", 5);
   const std::size_t nodes = flags.count("nodes", 4);
+  const auto anomalous_nodes = tools::parse_node_list(
+      "anomalous-nodes", flags.get("anomalous-nodes", std::string()));
   util::set_log_level(util::LogLevel::Warn);
   deploy::DsosStore store;
 
@@ -63,8 +49,7 @@ int main(int argc, char** argv) {
             hpas::anomaly_kind_from_string(flags.get("anomaly", std::string()));
         config.anomaly.intensity = flags.get("intensity", 1.0);
         config.anomaly.config = flags.get("anomaly", std::string());
-        config.anomalous_nodes =
-            parse_node_list(flags.get("anomalous-nodes", std::string()));
+        config.anomalous_nodes = anomalous_nodes;
         config.duration_s *= hpas::expected_slowdown(config.anomaly);
       }
       store.ingest(telemetry::generate_run(config));
@@ -92,4 +77,7 @@ int main(int argc, char** argv) {
     std::printf("metrics -> %s\n", metrics_out.c_str());
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "prodigy_simulate: %s\n", error.what());
+  return 1;
 }

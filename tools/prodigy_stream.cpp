@@ -38,6 +38,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -47,19 +48,6 @@
 namespace {
 
 using namespace prodigy;
-
-std::vector<std::size_t> parse_node_list(const std::string& csv) {
-  std::vector<std::size_t> nodes;
-  std::size_t start = 0;
-  while (start < csv.size()) {
-    const auto comma = csv.find(',', start);
-    const auto token = csv.substr(start, comma - start);
-    if (!token.empty()) nodes.push_back(std::stoul(token));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return nodes;
-}
 
 /// One frame per sample tick: row r of every node's series at timestamp t.
 std::vector<stream::SampleBatch> batches_from_run(const telemetry::JobTelemetry& job) {
@@ -154,7 +142,7 @@ int verify_against_batch(const deploy::DsosStore& store,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const tools::Flags flags(argc, argv);
   const bool capture_only = flags.has("capture");
   if (!capture_only && !flags.has("model")) {
@@ -201,8 +189,8 @@ int main(int argc, char** argv) {
           hpas::anomaly_kind_from_string(flags.get("anomaly", std::string()));
       config.anomaly.intensity = flags.get("intensity", 1.0);
       config.anomaly.config = flags.get("anomaly", std::string());
-      config.anomalous_nodes =
-          parse_node_list(flags.get("anomalous-nodes", std::string()));
+      config.anomalous_nodes = tools::parse_node_list(
+          "anomalous-nodes", flags.get("anomalous-nodes", std::string()));
     }
     config.baseline_drift = flags.get("drift", 0.0);
     config.anomaly_start_frac = flags.get("anomaly-start", 0.0);
@@ -328,4 +316,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "metrics -> %s\n", metrics_out.c_str());
   }
   return exit_code;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "prodigy_stream: %s\n", error.what());
+  return 1;
 }

@@ -31,6 +31,7 @@
 #include "util/timer.hpp"
 
 #include <cstdio>
+#include <exception>
 
 namespace {
 
@@ -83,7 +84,7 @@ int run_zoo(const deploy::DsosStore& store, const std::string& name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const tools::Flags flags(argc, argv);
   if (flags.has("list-detectors")) {
     for (const auto& name : baselines::DetectorRegistry::global().names()) {
@@ -137,4 +138,7 @@ int main(int argc, char** argv) {
     std::printf("metrics -> %s\n", metrics_out.c_str());
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "prodigy_train: %s\n", error.what());
+  return 1;
 }

@@ -4,8 +4,9 @@
 # (incremental extraction), W=64/H=64 (full recompute), W=300/H=7
 # (approximate entropy's subsample stride is not an integer there) and
 # W=32/H=48 (full recompute over windows that skip rows between them).
-# Usage errors (a negative count, a value flag without its value) must
-# exit 2.
+# Usage errors (a negative count, a value flag without its value, a node
+# list token that is not a count) must exit 2; a config the generator
+# refuses or an unknown application must end the tool with exit 1.
 #   cmake -DSIMULATE=... -DTRAIN=... -DPREDICT=... -DSTREAM=... -P smoke.cmake
 # It writes store.dsos and model/ into the working directory.
 function(run_tool expected)
@@ -39,3 +40,11 @@ run_tool(2 ${PREDICT} --store store.dsos --model model --all --repeat -1)
 # So is a value flag given without its value.
 run_tool(2 ${TRAIN} --store store.dsos --out model --epochs)
 run_tool(2 ${PREDICT} --store store.dsos --model model --all --metrics-out)
+# So is a node list token that is not a count.
+run_tool(2 ${SIMULATE} --out bad.dsos --app LAMMPS --jobs 1 --nodes 2
+         --anomaly memleak --anomalous-nodes abc)
+# A config the generator cannot honour, or an unknown application, ends the
+# tool with its message and exit 1, not an abort.
+run_tool(1 ${SIMULATE} --out bad.dsos --app LAMMPS --jobs 1 --nodes 2
+         --anomaly memleak --anomalous-nodes 7)
+run_tool(1 ${SIMULATE} --out bad.dsos --app NOPE --jobs 1 --nodes 2)

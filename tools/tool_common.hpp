@@ -18,6 +18,34 @@ namespace prodigy::tools {
   std::exit(2);
 }
 
+/// `text` as a count: a negative, non-numeric or out-of-range value exits
+/// through usage() naming `--flag`.
+inline std::size_t parse_count(const std::string& flag, const std::string& text) {
+  std::size_t parsed = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, parsed);
+  if (error != std::errc() || end != last) {
+    usage(("--" + flag + " expects a non-negative integer, got '" + text + "'\n").c_str());
+  }
+  return parsed;
+}
+
+/// A comma-separated node index list such as `--anomalous-nodes 1,3`.
+/// Empty tokens are skipped; every other token must be a count.
+inline std::vector<std::size_t> parse_node_list(const std::string& flag,
+                                                const std::string& csv) {
+  std::vector<std::size_t> nodes;
+  std::size_t start = 0;
+  while (start < csv.size()) {
+    const auto comma = csv.find(',', start);
+    const auto token = csv.substr(start, comma - start);
+    if (!token.empty()) nodes.push_back(parse_count(flag, token));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return nodes;
+}
+
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -57,15 +85,7 @@ class Flags {
   /// out-of-range value exits through usage() naming the flag.
   std::size_t count(const std::string& name, std::size_t fallback) const {
     const std::string* text = value(name);
-    if (text == nullptr) return fallback;
-    std::size_t parsed = 0;
-    const char* last = text->data() + text->size();
-    const auto [end, error] = std::from_chars(text->data(), last, parsed);
-    if (error != std::errc() || end != last) {
-      usage(("--" + name + " expects a non-negative integer, got '" + *text +
-             "'\n").c_str());
-    }
-    return parsed;
+    return text == nullptr ? fallback : parse_count(name, *text);
   }
   bool has(const std::string& name) const { return values_.contains(name); }
   const std::vector<std::string>& positional() const { return positional_; }
