@@ -71,7 +71,9 @@ std::vector<NodeSeries> synthesize_nodes(
     const std::function<NodeSeries(std::size_t node, util::Rng& rng)>& synthesize) {
   std::vector<util::Rng> streams;
   streams.reserve(num_nodes);
-  for (std::size_t node = 0; node < num_nodes; ++node) streams.push_back(job_rng.fork());
+  for (std::size_t node = 0; node < num_nodes; ++node) {
+    streams.push_back(job_rng.fork());
+  }
   std::vector<NodeSeries> nodes(num_nodes);
   util::parallel_for(0, num_nodes, [&](std::size_t node) {
     // Each task draws from its own copy: neighbouring streams share a cache
@@ -89,7 +91,8 @@ void check_run_shape(const char* fn, std::size_t num_nodes, double duration_s,
   };
   if (num_nodes < 1) reject("num_nodes must be at least 1");
   if (!std::isfinite(duration_s) || duration_s < 1.0) {
-    reject("duration_s must be finite and at least 1, got " + std::to_string(duration_s));
+    reject("duration_s must be finite and at least 1, got " +
+           std::to_string(duration_s));
   }
   if (!(dropout >= 0.0 && dropout <= 1.0)) {
     reject("dropout must lie in [0, 1], got " + std::to_string(dropout));

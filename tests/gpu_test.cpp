@@ -179,28 +179,19 @@ TEST(GpuRunTest, ConcurrentNodesMatchInlineGeneration) {
   }
 }
 
-// generate_gpu_run refuses a config it cannot generate, naming the field.
-void expect_rejected(const GpuRunConfig& config, const std::string& field) {
-  try {
-    generate_gpu_run(config);
-    ADD_FAILURE() << "accepted a bad " << field;
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find(field), std::string::npos) << error.what();
-  }
-}
-
 TEST(GpuRunTest, RejectsZeroNodes) {
   GpuRunConfig config;
   config.num_nodes = 0;
-  expect_rejected(config, "num_nodes");
+  prodigy::testing::expect_rejected(generate_gpu_run, config, "num_nodes");
 }
 
 TEST(GpuRunTest, RejectsDurationBelowOneSecondOrNotFinite) {
   GpuRunConfig config;
-  for (const double duration : {-5.0, 0.0, 0.5, std::numeric_limits<double>::quiet_NaN(),
-                                std::numeric_limits<double>::infinity()}) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double duration : {-5.0, 0.0, 0.5, kNaN, kInf}) {
     config.duration_s = duration;
-    expect_rejected(config, "duration_s");
+    prodigy::testing::expect_rejected(generate_gpu_run, config, "duration_s");
   }
 }
 
@@ -208,7 +199,7 @@ TEST(GpuRunTest, RejectsDropoutOutsideUnitInterval) {
   GpuRunConfig config;
   for (const double dropout : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
     config.dropout = dropout;
-    expect_rejected(config, "dropout");
+    prodigy::testing::expect_rejected(generate_gpu_run, config, "dropout");
   }
 }
 
@@ -217,7 +208,7 @@ TEST(GpuRunTest, RejectsAnomalousNodePastNumNodes) {
   config.num_nodes = 2;
   config.anomaly = GpuAnomalyKind::GpuMemleak;
   config.anomalous_nodes = {1, 2};
-  expect_rejected(config, "anomalous_nodes");
+  prodigy::testing::expect_rejected(generate_gpu_run, config, "anomalous_nodes");
 }
 
 TEST(GpuPipelineTest, EndToEndJointModelDetectsGpuMemleak) {

@@ -238,35 +238,28 @@ TEST(GeneratorTest, ConcurrentNodesMatchInlineGeneration) {
                    std::to_string(nodes) + " nodes");
       const JobTelemetry fanned = generate_run(config);
       JobTelemetry inline_job;
-      util::ThreadPool::global().submit([&] { inline_job = generate_run(config); }).get();
+      util::ThreadPool::global()
+          .submit([&] { inline_job = generate_run(config); })
+          .get();
       ASSERT_EQ(fanned.nodes.size(), nodes);
       prodigy::testing::expect_same_job(fanned, inline_job);
     }
   }
 }
 
-// generate_run refuses a config it cannot generate, naming the field.
-void expect_rejected(const RunConfig& config, const std::string& field) {
-  try {
-    generate_run(config);
-    ADD_FAILURE() << "accepted a bad " << field;
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find(field), std::string::npos) << error.what();
-  }
-}
-
 TEST(GeneratorTest, RejectsZeroNodes) {
   RunConfig config;
   config.num_nodes = 0;
-  expect_rejected(config, "num_nodes");
+  prodigy::testing::expect_rejected(generate_run, config, "num_nodes");
 }
 
 TEST(GeneratorTest, RejectsDurationBelowOneSecondOrNotFinite) {
   RunConfig config;
-  for (const double duration : {-5.0, 0.0, 0.5, std::numeric_limits<double>::quiet_NaN(),
-                                std::numeric_limits<double>::infinity()}) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double duration : {-5.0, 0.0, 0.5, kNaN, kInf}) {
     config.duration_s = duration;
-    expect_rejected(config, "duration_s");
+    prodigy::testing::expect_rejected(generate_run, config, "duration_s");
   }
 }
 
@@ -274,7 +267,7 @@ TEST(GeneratorTest, RejectsDropoutOutsideUnitInterval) {
   RunConfig config;
   for (const double dropout : {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
     config.dropout = dropout;
-    expect_rejected(config, "dropout");
+    prodigy::testing::expect_rejected(generate_run, config, "dropout");
   }
 }
 
@@ -283,7 +276,7 @@ TEST(GeneratorTest, RejectsAnomalousNodePastNumNodes) {
   config.num_nodes = 2;
   config.anomaly = hpas::table2_configurations().front();
   config.anomalous_nodes = {1, 2};
-  expect_rejected(config, "anomalous_nodes");
+  prodigy::testing::expect_rejected(generate_run, config, "anomalous_nodes");
 }
 
 TEST(DatasetBuilderTest, SystemsMatchPaper) {

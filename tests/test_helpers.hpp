@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace prodigy::testing {
@@ -42,6 +44,19 @@ inline void expect_same_job(const telemetry::JobTelemetry& a,
     EXPECT_EQ(a.nodes[n].anomaly, b.nodes[n].anomaly);
     EXPECT_TRUE(bitwise_equal(a.nodes[n].values, b.nodes[n].values))
         << "node " << n << " of " << a.nodes.size();
+  }
+}
+
+/// generate(config) refuses a config it cannot honour with
+/// std::invalid_argument whose message names `field`.
+template <typename Generate, typename Config>
+void expect_rejected(const Generate& generate, const Config& config,
+                     const std::string& field) {
+  try {
+    generate(config);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(field), std::string::npos) << error.what();
   }
 }
 

@@ -25,7 +25,9 @@ inline std::size_t parse_count(const std::string& flag, const std::string& text)
   const char* last = text.data() + text.size();
   const auto [end, error] = std::from_chars(text.data(), last, parsed);
   if (error != std::errc() || end != last) {
-    usage(("--" + flag + " expects a non-negative integer, got '" + text + "'\n").c_str());
+    const std::string message =
+        "--" + flag + " expects a non-negative integer, got '" + text + "'\n";
+    usage(message.c_str());
   }
   return parsed;
 }
